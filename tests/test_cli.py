@@ -124,6 +124,13 @@ def test_verify_reports_are_byte_identical(triangle_file, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_verify_h_list_needs_a_value(triangle_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", triangle_file, "--h-list"])
+    assert exc.value.code == 2
+    assert "--h-list" in capsys.readouterr().err
+
+
 def test_theta_subcommand(triangle_file, capsys):
     assert run(["theta", triangle_file]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -202,3 +202,16 @@ def test_genus_is_orientation_invariant(curve, data):
     edge_id = data.draw(st.sampled_from([e.id for e in curve.edges]))
     assert genus(reverse_edge(curve, edge_id)) == genus(curve)
     assert genus(curve) == len(curve.edges) - len(curve.vertices) + 1
+
+
+@given(cycle_with_chords())
+def test_edge_ends_match_a_scan_of_the_edges(curve):
+    for v in curve.vertices:
+        scanned = []
+        for e in sorted(curve.edges, key=lambda e: e.id):
+            if e.head == v:
+                scanned.append((e, "head"))
+            if e.tail == v:
+                scanned.append((e, "tail"))
+        assert curve.edge_ends_at(v) == scanned
+        assert curve.degree(v) == len(scanned)

@@ -1,14 +1,22 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from trophodge import curves
 from trophodge.checks import _TAIL_WINDOW_BOUND, _smoothstep_window, band_window
+from trophodge.curve import Edge, TropicalCurve
 from trophodge.discrete import (
     AmbiguousKernelError,
     StarNeighborhood,
     TailNeighborhood,
+    _constraint_nullspace,
+    _element_mass_weighted,
+    _element_weights,
     assemble,
     build_mesh,
     kernel,
@@ -16,6 +24,7 @@ from trophodge.discrete import (
     spectrum,
     vector_to_superform,
 )
+from trophodge.exact import nullspace
 from trophodge.metric import KahlerForm
 from trophodge.quadrature import QuadratureRule, integrate_finite, integrate_lower_tail
 from trophodge.superform import Bidegree, EdgeFunction, Superform, is_regular
@@ -125,6 +134,119 @@ def test_stiffness_and_mass_are_exactly_symmetric():
         M = system.mass
         assert (K != K.T).nnz == 0
         assert (M != M.T).nnz == 0
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected multigraphs with self-loops, parallel edges and legs.
+
+    A spanning tree keeps the graph connected; extra edges may be
+    self-loops or parallel to others.  The first leg may carry a weight
+    with so little tail mass that truncation collapses it to its head.
+    """
+    n = draw(st.integers(1, 4))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges = []
+    for k, (a, b) in enumerate(pairs):
+        if draw(st.booleans()):
+            a, b = b, a
+        edges.append(Edge(f"e{k}", vertices[a], vertices[b], draw(st.sampled_from([0.5, 1.0, 1.5]))))
+    heads = draw(st.lists(st.integers(0, n - 1), min_size=0 if edges else 1, max_size=3))
+    for k, v in enumerate(heads):
+        vertices.append(f"L{k}")
+        edges.append(Edge(f"leg{k}", f"L{k}", vertices[v], math.inf))
+    curve = TropicalCurve(tuple(vertices), tuple(edges))
+    spec = {}
+    if heads and draw(st.booleans()):
+        spec["leg0"] = {"kind": "expr", "formula": "0.000000001*exp(2*x)"}
+    return curve, KahlerForm.from_spec(curve, spec)
+
+
+def _scatter_reference(system, g):
+    """Stiffness and mass built one element at a time, in the order
+    a-a, b-b, a-b, b-a, skipping DOFs eliminated by truncation."""
+    rows, cols, vals_k, vals_m = [], [], [], []
+    for e in system.mesh.curve.sorted_edges():
+        coords = system.mesh.nodes[e.id]
+        if len(coords) < 2:
+            continue
+        dofs = system.dof_map.edge_dofs[e.id]
+        lengths = np.diff(coords)
+        if system.bidegree.as_tuple() == (0, 0):
+            k_scale = 1.0 / lengths
+            m00, m01, m11 = _element_mass_weighted(g.weights[e.id], coords)
+        else:
+            inv_weight = EdgeFunction.constant(1.0, g.weights[e.id].domain).divide(g.weights[e.id])
+            k_scale = _element_weights(inv_weight, coords) / lengths**2
+            m00 = m11 = lengths / 3.0
+            m01 = lengths / 6.0
+        for i in range(len(lengths)):
+            a, b = dofs[i], dofs[i + 1]
+            entries = ((a, a, k_scale[i], m00[i]), (b, b, k_scale[i], m11[i]),
+                       (a, b, -k_scale[i], m01[i]), (b, a, -k_scale[i], m01[i]))
+            for r, c, k, m in entries:
+                if r >= 0 and c >= 0:
+                    rows.append(r)
+                    cols.append(c)
+                    vals_k.append(k)
+                    vals_m.append(m)
+    n = system.dof_map.n_dofs
+    K = scipy.sparse.csr_matrix((vals_k, (rows, cols)), shape=(n, n))
+    M = scipy.sparse.csr_matrix((vals_m, (rows, cols)), shape=(n, n))
+    return K, M
+
+
+def _same_csr(a, b):
+    return all(np.array_equal(getattr(a, part), getattr(b, part)) for part in ("indptr", "indices", "data"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.sampled_from([1 / 2, 1 / 3]))
+def test_kirchhoff_elimination_closed_form(case, h):
+    curve, g = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the collapsed leg warns
+        mesh = build_mesh(curve, g, h, 1e-4)
+    for bidegree in ((0, 0), (1, 0)):
+        system = assemble(mesh, curve, g, bidegree)
+        K, M = _scatter_reference(system, g)
+        assert _same_csr(system.stiffness, K) and _same_csr(system.mass, M)
+
+    B = system.constraints
+    n, m = system.dof_map.n_dofs, B.shape[0]
+    # rows have disjoint, nonempty supports with entries +-1
+    assert set(np.unique(B)) <= {-1.0, 0.0, 1.0}
+    assert np.abs(B).sum(axis=0).max(initial=0.0) <= 1
+    assert np.all(np.abs(B).sum(axis=1) >= 1)
+
+    Z = _constraint_nullspace(B)
+    assert Z.shape == (n, n - m)
+    assert not np.any(B @ Z.toarray())
+    # the basis exact rational elimination gives, one vector per free column
+    oracle = nullspace(B.astype(int).tolist(), n)
+    expected = np.array([[float(x) for x in v] for v in oracle]).T.reshape(n, len(oracle))
+    assert np.array_equal(Z.toarray(), expected)
+
+
+def test_overlapping_kirchhoff_rows_are_rejected(monkeypatch):
+    tri = curves.triangle()
+    g = KahlerForm.constant(tri, 1.0)
+    mesh = build_mesh(tri, g, 0.5, 1e-6)
+    system = assemble(mesh, tri, g, (1, 0))
+
+    B = system.constraints.copy()
+    B[1, np.flatnonzero(B[0])[0]] = 1.0  # row 1 now shares a DOF with row 0
+    with pytest.raises(RuntimeError, match="two Kirchhoff"):
+        kernel(dataclasses.replace(system, constraints=B))
+
+    # every vertex sees every edge end: each DOF lands in all three rows
+    ends_at = TropicalCurve.edge_ends_at
+    monkeypatch.setattr(TropicalCurve, "edge_ends_at",
+                        lambda self, v: [end for u in self.sorted_vertices() for end in ends_at(self, u)])
+    with pytest.raises(RuntimeError, match="two Kirchhoff"):
+        assemble(mesh, tri, g, (1, 0))
 
 
 # -- kernels and spectra ---------------------------------------------------
