@@ -21,7 +21,7 @@ from . import theta as theta_module
 from .curve import TropicalCurve, genus
 from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel
 from .harmonic import betti, cech_cohomology, harmonic_basis
-from .metric import KahlerForm, hodge_star, inner_product, integrate, laplacian
+from .metric import FUBINI_STUDY_SOURCE, KahlerForm, hodge_star, inner_product, integrate, laplacian
 from .quadrature import DEFAULT_RULE, QuadratureRule
 from .superform import Bidegree, EdgeFunction, Superform, d_second, is_regular, wedge
 
@@ -334,12 +334,6 @@ def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superf
     return psi, phi
 
 
-def _kernel_dimension(curve, g, h, trunc_eps, bidegree, gap_ratio_min, rule):
-    mesh = build_mesh(curve, g, h, trunc_eps, rule)
-    system = assemble(mesh, curve, g, bidegree)
-    return kernel(system, gap_ratio_min), system
-
-
 def _principal_angle(system, spectral, exact_forms) -> float:
     """Largest principal angle between the discrete kernel and the exact span."""
     if not exact_forms:
@@ -387,10 +381,13 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     scalar_values = [basis00.dimension, basis11.dimension, cech_omega[1], cech_const[0]]
     for h in h_list:
         try:
-            spectral, system = _kernel_dimension(curve, g, h, trunc_eps, (1, 0), gap_ratio_min, rule)
+            mesh = build_mesh(curve, g, h, trunc_eps, rule)
+            system = assemble(mesh, curve, g, (1, 0))
+            spectral = kernel(system, gap_ratio_min)
             values.append(spectral.kernel_dimension)
             angle10 = max(angle10, _principal_angle(system, spectral, list(basis10.forms)))
-            spectral0, system0 = _kernel_dimension(curve, g, h, trunc_eps, (0, 0), gap_ratio_min, rule)
+            system0 = assemble(mesh, curve, g, (0, 0))
+            spectral0 = kernel(system0, gap_ratio_min)
             scalar_values.append(spectral0.kernel_dimension)
             angle00 = max(angle00, _principal_angle(system0, spectral0, list(basis00.forms)))
         except AmbiguousKernelError:
@@ -561,7 +558,7 @@ def check_theta_correspondence(rule: QuadratureRule = DEFAULT_RULE, tol: float =
         ("theta-cubic", EdgeFunction.from_expression("x^2", domain=(-math.inf, math.inf)), (0.0, 1.0)),
         (
             "theta-fubini-study",
-            EdgeFunction.from_expression(theta_module.FUBINI_STUDY_SOURCE, domain=(-math.inf, math.inf)),
+            EdgeFunction.from_expression(FUBINI_STUDY_SOURCE, domain=(-math.inf, math.inf)),
             (-math.inf, math.inf),
         ),
     ]
@@ -580,49 +577,26 @@ def check_theta_correspondence(rule: QuadratureRule = DEFAULT_RULE, tol: float =
 
 def run_verification(curve: TropicalCurve, g: KahlerForm, rule: QuadratureRule = DEFAULT_RULE,
                      seed: int = 0, h_list=(1 / 16, 1 / 32), trunc_eps: float = 1e-4,
-                     form_count: int = 20, workers: int = 1) -> CheckReport:
-    """All verification suites on one curve.
-
-    The suites are independent, so up to ``workers`` of them may run
-    concurrently; the report is assembled in a fixed order either way.
-    """
-
-    def stokes_suite() -> CheckReport:
-        forms = regular_test_forms(curve, (1, 0), form_count, seed)
-        return check_stokes(curve, forms, g, rule, seed=seed)
-
-    def parts_suite() -> CheckReport:
-        worst = 0.0
-        for k in range(form_count):
-            psi, phi = energy_test_pair(curve, seed + 1000 + k)
-            sub = check_integration_by_parts(curve, psi, phi, g, rule)
-            worst = max(worst, sub.checks[0].residual)
-        out = CheckReport()
-        out.add(
-            "integration-by-parts",
-            "pairing of d'' against a weakly differentiable partner is antisymmetric",
-            worst,
-            _default_tol(curve),
-            0.0,
-        )
-        return out
-
-    suites = [
-        stokes_suite,
-        parts_suite,
-        lambda: check_hodge_theorem(curve, g, h_list, rule, trunc_eps),
-        lambda: check_star_identities(curve, g, rule),
-        lambda: check_theta_correspondence(rule),
-    ]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda suite: suite(), suites))
-    else:
-        results = [suite() for suite in suites]
-
+                     form_count: int = 20) -> CheckReport:
+    """All verification suites on one curve, run in a fixed order."""
     report = CheckReport(seed=seed)
-    for sub in results:
-        report.extend(sub)
+    forms = regular_test_forms(curve, (1, 0), form_count, seed)
+    report.extend(check_stokes(curve, forms, g, rule, seed=seed))
+
+    worst = 0.0
+    for k in range(form_count):
+        psi, phi = energy_test_pair(curve, seed + 1000 + k)
+        sub = check_integration_by_parts(curve, psi, phi, g, rule)
+        worst = max(worst, sub.checks[0].residual)
+    report.add(
+        "integration-by-parts",
+        "pairing of d'' against a weakly differentiable partner is antisymmetric",
+        worst,
+        _default_tol(curve),
+        0.0,
+    )
+
+    report.extend(check_hodge_theorem(curve, g, h_list, rule, trunc_eps))
+    report.extend(check_star_identities(curve, g, rule))
+    report.extend(check_theta_correspondence(rule))
     return report

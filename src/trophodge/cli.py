@@ -7,24 +7,20 @@ codes: 0 on success, 1 when a verification check fails, 2 on input
 errors (with a machine-readable error object on stderr).
 
 Reports are byte-deterministic for fixed inputs and seeds; per-check
-timings are zeroed unless --timings is given.  The environment variable
-TROP_HODGE_THREADS (0 = auto) caps how many verification suites run
-concurrently.
+timings are zeroed unless --timings is given.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import checks as checks_module
 from .curve import CurveError, genus, parse_document, validate
 from .discrete import assemble, build_mesh, kernel, spectrum
 from .expressions import ExpressionError, parse_expression
 from .harmonic import harmonic_basis
-from .metric import KahlerError, KahlerForm, validate_kahler
+from .metric import KahlerError, KahlerForm
 from .quadrature import DEFAULT_RULE, DivergenceError
 
 __all__ = ["main", "run", "parse_expression"]
@@ -42,19 +38,6 @@ def _write_report(doc: dict, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("TROP_HODGE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CurveError(f"TROP_HODGE_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 0:
-        raise CurveError("TROP_HODGE_THREADS must be >= 0")
-    return n
 
 
 def _load(path: str, strict: bool = True):
@@ -136,16 +119,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "harmonic":
-        g = KahlerForm.from_spec(curve, kahler_spec)
+        g = KahlerForm.validated(curve, kahler_spec)
         basis = harmonic_basis(curve, g, _bidegree(args.bidegree))
         _write_report(basis.as_dict(), args.out)
         return 0
 
     if args.command == "spectrum":
-        g = KahlerForm.from_spec(curve, kahler_spec)
-        kreport = validate_kahler(curve, g)
-        if not kreport.passed:
-            raise KahlerError("; ".join(kreport.failures()))
+        g = KahlerForm.validated(curve, kahler_spec)
         mesh = build_mesh(curve, g, args.h, args.trunc_eps)
         system = assemble(mesh, curve, g, _bidegree(args.bidegree))
         result = spectrum(system, args.k)
@@ -161,13 +141,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        g = KahlerForm.from_spec(curve, kahler_spec)
-        kreport = validate_kahler(curve, g)
-        if not kreport.passed:
-            raise KahlerError("; ".join(kreport.failures()))
+        g = KahlerForm.validated(curve, kahler_spec)
         report = checks_module.run_verification(
-            curve, g, DEFAULT_RULE, seed=args.seed, h_list=tuple(args.h_list),
-            form_count=args.forms, workers=_worker_cap(),
+            curve, g, DEFAULT_RULE, seed=args.seed, h_list=tuple(args.h_list), form_count=args.forms,
         )
         _write_report(report.as_dict(include_timings=args.timings), args.out)
         return 0 if report.passed else 1
@@ -178,30 +154,6 @@ def _dispatch(args) -> int:
         return 0 if report.passed else 1
 
     raise CurveError(f"unknown command {args.command!r}")
-
-
-def verify_many(paths: list[str], seed: int = 0) -> dict:
-    """Run the verify suite over several curve files, respecting the
-    TROP_HODGE_THREADS cap; results are keyed by path, so the combined
-    report is order-deterministic."""
-    cap = _worker_cap()
-    results: dict[str, dict] = {}
-
-    def one(path: str) -> tuple[str, dict]:
-        curve, kahler_spec = _load(path)
-        g = KahlerForm.from_spec(curve, kahler_spec)
-        report = checks_module.run_verification(curve, g, DEFAULT_RULE, seed=seed)
-        return path, report.as_dict()
-
-    if cap <= 1:
-        for path in paths:
-            key, value = one(path)
-            results[key] = value
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            for key, value in pool.map(one, paths):
-                results[key] = value
-    return {path: results[path] for path in sorted(results)}
 
 
 def main() -> None:

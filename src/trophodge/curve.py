@@ -188,6 +188,8 @@ def parse_document(text: str, strict: bool = True) -> tuple[TropicalCurve, dict 
             eid, tail, head = item["id"], item["tail"], item["head"]
         except KeyError as exc:
             raise CurveError(f"edge is missing key {exc}") from None
+        if not all(isinstance(v, str) for v in (eid, tail, head)):
+            raise CurveError(f"edge {eid!r}: \"id\", \"tail\" and \"head\" must be strings")
         length = _parse_length(item.get("length"), eid)
         for v in (tail, head):
             if v not in vertices:

@@ -60,10 +60,6 @@ class HarmonicBasis:
         }
 
 
-def _constant_coefficient_form(curve: TropicalCurve, bidegree, coeffs: dict) -> Superform:
-    return Superform.on_curve(curve, bidegree, coeffs)
-
-
 def _flow_basis(curve: TropicalCurve) -> list[dict]:
     """Integer Kirchhoff flows spanning the cycle space of the finite part."""
     inc = incidence_matrix(curve)
@@ -87,21 +83,20 @@ def harmonic_basis(curve: TropicalCurve, g: KahlerForm | None, bidegree) -> Harm
     bd = bidegree if isinstance(bidegree, Bidegree) else Bidegree(*bidegree)
     if bd.as_tuple() == (0, 0):
         coeffs = {e.id: Fraction(1) for e in curve.sorted_edges()}
-        form = _constant_coefficient_form(curve, bd, coeffs)
+        form = Superform.on_curve(curve, bd, coeffs)
         return HarmonicBasis(bd, (form,), (coeffs,), "constants")
     if bd.as_tuple() == (1, 0):
         tables = _flow_basis(curve)
-        forms = tuple(_constant_coefficient_form(curve, bd, t) for t in tables)
+        forms = tuple(Superform.on_curve(curve, bd, t) for t in tables)
         return HarmonicBasis(bd, forms, tuple(tables), "incidence-nullspace")
     if bd.as_tuple() == (0, 1):
         # star of the (1,0) basis: f d'x -> f d''x, coefficients unchanged
         tables = _flow_basis(curve)
-        forms = tuple(_constant_coefficient_form(curve, bd, t) for t in tables)
+        forms = tuple(Superform.on_curve(curve, bd, t) for t in tables)
         return HarmonicBasis(bd, forms, tuple(tables), "star-dual")
     if g is None:
         raise ValueError("the (1,1) harmonic basis is the Kahler form; pass g")
-    form = Superform(Bidegree(1, 1), dict(g.weights))
-    return HarmonicBasis(bd, (form,), None, "star-dual")
+    return HarmonicBasis(bd, (g.as_superform(),), None, "star-dual")
 
 
 def betti(curve: TropicalCurve, q: int) -> int:

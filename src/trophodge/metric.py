@@ -83,10 +83,12 @@ class KahlerForm:
 
         Edges without an entry default to the constant weight 1 when
         finite and to the Fubini-Study weight when infinite (a constant
-        has divergent mass there).
+        has divergent mass there).  A malformed spec raises KahlerError.
         """
         weights = {}
         spec = spec or {}
+        if not isinstance(spec, dict):
+            raise KahlerError('"kahler" must be an object keyed by edge id')
         for e in curve.sorted_edges():
             entry = spec.get(e.id)
             if entry is None:
@@ -95,13 +97,22 @@ class KahlerForm:
                 else:
                     weights[e.id] = EdgeFunction.constant(1.0, e.chart)
                 continue
+            if not isinstance(entry, dict):
+                raise KahlerError(f"kahler entry of edge {e.id!r} must be an object")
             kind = entry.get("kind")
             if kind == "constant":
-                weights[e.id] = EdgeFunction.constant(float(entry["value"]), e.chart)
+                try:
+                    value = float(entry["value"])
+                except (KeyError, TypeError, ValueError):
+                    raise KahlerError(f"constant weight on edge {e.id!r} needs a numeric \"value\"") from None
+                weights[e.id] = EdgeFunction.constant(value, e.chart)
             elif kind == "fubini-study":
                 weights[e.id] = EdgeFunction.from_expression(FUBINI_STUDY_SOURCE, domain=e.chart)
             elif kind == "expr":
-                weights[e.id] = EdgeFunction.from_expression(entry["formula"], domain=e.chart)
+                formula = entry.get("formula")
+                if not isinstance(formula, str):
+                    raise KahlerError(f"expr weight on edge {e.id!r} needs a string \"formula\"")
+                weights[e.id] = EdgeFunction.from_expression(formula, domain=e.chart)
             else:
                 raise KahlerError(f"unknown kahler weight kind {kind!r} on edge {e.id!r}")
         return cls(curve, weights)
@@ -113,9 +124,6 @@ class KahlerForm:
         if not report.passed:
             raise KahlerError("; ".join(report.failures()))
         return g
-
-    def weight(self, edge_id: str) -> EdgeFunction:
-        return self.weights[edge_id]
 
     def as_superform(self) -> Superform:
         return Superform(Bidegree(1, 1), dict(self.weights))

@@ -154,14 +154,6 @@ class EdgeFunction:
         dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
         return cls(f, derivative_factory=lambda: cls.polynomial(dcoeffs, domain), domain=domain)
 
-    @classmethod
-    def from_callable(cls, fn, derivative=None, tail_bound=None, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
-        if derivative is None:
-            return cls(fn, None, tail_bound, domain)
-        if isinstance(derivative, EdgeFunction):
-            return cls(fn, lambda: derivative, tail_bound, domain)
-        return cls(fn, lambda: cls.from_callable(derivative, None, tail_bound, domain), tail_bound, domain)
-
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):

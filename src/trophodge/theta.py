@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import TropicalCurve
-from .metric import FUBINI_STUDY_SOURCE
+from .metric import KahlerForm
 from .quadrature import DEFAULT_RULE, QuadratureRule, _refine, gauss_legendre, integrate_interval
-from .superform import Bidegree, EdgeFunction, Superform
+from .superform import Superform
 
 __all__ = [
     "AnnulusDomain",
@@ -142,8 +142,4 @@ def fubini_study_form(curve: TropicalCurve) -> Superform:
     the same source.  The form integrates to total mass 1 and is a
     Kahler weight, yet it is not regular: it has no tail-support bound.
     """
-    coeffs = {
-        e.id: EdgeFunction.from_expression(FUBINI_STUDY_SOURCE, domain=e.chart)
-        for e in curve.sorted_edges()
-    }
-    return Superform(Bidegree(1, 1), coeffs)
+    return KahlerForm.fubini_study(curve).as_superform()

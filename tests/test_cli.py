@@ -174,12 +174,45 @@ def test_harmonic_empty_basis(tmp_path, capsys):
     assert out["dimension"] == 0 and out["elements"] == []
 
 
-def test_thread_cap_env(monkeypatch, tmp_path, triangle_file):
-    from trophodge.cli import verify_many
+NEGATIVE_WEIGHT = "-2*exp(2*x)/(1+exp(2*x))^2"
 
-    monkeypatch.setenv("TROP_HODGE_THREADS", "2")
-    results = verify_many([triangle_file], seed=0)
-    assert set(results) == {triangle_file}
-    monkeypatch.setenv("TROP_HODGE_THREADS", "not-a-number")
-    with pytest.raises(Exception, match="TROP_HODGE_THREADS"):
-        verify_many([triangle_file], seed=0)
+
+@pytest.mark.parametrize("argv", [["harmonic", "--bidegree", "11"], ["spectrum"], ["verify"]])
+def test_invalid_kahler_weight_exits_2(tmp_path, capsys, argv):
+    doc = json.loads(serialize(curves.projective_line()))
+    doc["kahler"] = {"left": {"kind": "expr", "formula": NEGATIVE_WEIGHT}}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "KahlerError"
+
+
+def _triangle_doc(kahler=None, **first_edge):
+    doc = json.loads(serialize(curves.triangle()))
+    if kahler is not None:
+        doc["kahler"] = kahler
+    doc["edges"][0].update(first_edge)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, kind",
+    [
+        (_triangle_doc(kahler=[1, 2]), "KahlerError"),
+        (_triangle_doc(kahler={"ab": 3}), "KahlerError"),
+        (_triangle_doc(kahler={"ab": {"kind": "expr"}}), "KahlerError"),
+        (_triangle_doc(kahler={"ab": {"kind": "constant"}}), "KahlerError"),
+        (_triangle_doc(id=7), "CurveError"),
+        (_triangle_doc(tail=["A"]), "CurveError"),
+    ],
+    ids=["kahler-list", "kahler-entry-number", "expr-no-formula", "constant-no-value",
+         "numeric-id", "list-tail"],
+)
+def test_malformed_documents_give_typed_errors(tmp_path, capsys, doc, kind):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    command = "genus" if kind == "CurveError" else "harmonic"
+    assert run([command, str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
