@@ -37,7 +37,7 @@ from .superform import (
     reoriented,
     wedge,
 )
-from .quadrature import DivergenceError, QuadratureRule
+from .quadrature import DivergenceError
 from .metric import (
     KahlerError,
     KahlerForm,

@@ -22,7 +22,6 @@ from .curve import TropicalCurve, genus
 from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel
 from .harmonic import betti, cech_cohomology, harmonic_basis
 from .metric import FUBINI_STUDY_SOURCE, KahlerForm, hodge_star, inner_product, integrate, laplacian
-from .quadrature import DEFAULT_RULE, QuadratureRule
 from .superform import Bidegree, EdgeFunction, Superform, d_second, is_regular, wedge
 
 __all__ = [
@@ -42,6 +41,8 @@ __all__ = [
 # Window kinks sit on quadrature panel boundaries: x = -8 ln 2 is an
 # octave boundary of the tail substitution at every refinement depth.
 _TAIL_WINDOW_BOUND = -8.0 * math.log(2.0)
+# tail mass and second moment left beyond the cut of an infinite edge
+TRUNC_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -231,8 +232,7 @@ def _default_tol(curve: TropicalCurve) -> float:
 
 
 def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
-                 rule: QuadratureRule = DEFAULT_RULE, tol: float | None = None,
-                 seed: int | None = None) -> CheckReport:
+                 tol: float | None = None, seed: int | None = None) -> CheckReport:
     """Vanishing of the total d'' integral, plus the bilinear form of it.
 
     Rejects non-regular inputs; partners for the bilinear identity are a
@@ -247,7 +247,7 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
             raise ValueError("check_stokes expects (1,0) forms")
         if not is_regular(form, curve).passed:
             raise ValueError("non-regular input form rejected")
-        worst = max(worst, abs(integrate(curve, d_second(form), rule)))
+        worst = max(worst, abs(integrate(curve, d_second(form))))
     report.add(
         "stokes-closed",
         "the integral of d'' of a regular (1,0) form vanishes",
@@ -260,8 +260,8 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
     partners = regular_test_forms(curve, (0, 0), len(forms), 7919 if seed is None else seed + 7919)
     worst = 0.0
     for phi, psi in zip(forms, partners):
-        lhs = integrate(curve, wedge(d_second(phi), psi), rule)
-        rhs = integrate(curve, wedge(phi, d_second(psi)), rule)
+        lhs = integrate(curve, wedge(d_second(phi), psi))
+        rhs = integrate(curve, wedge(phi, d_second(psi)))
         worst = max(worst, abs(lhs - rhs))
     report.add(
         "stokes-bilinear",
@@ -274,14 +274,13 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
 
 
 def check_integration_by_parts(curve: TropicalCurve, psi: Superform, phi: Superform,
-                               g: KahlerForm, rule: QuadratureRule = DEFAULT_RULE,
-                               tol: float | None = None) -> CheckReport:
+                               g: KahlerForm, tol: float | None = None) -> CheckReport:
     """| int d''psi ^ phi + int psi ^ d''phi | for one weakly differentiable pair."""
     tol = _default_tol(curve) if tol is None else tol
     report = CheckReport()
     start = time.perf_counter()
-    lhs = integrate(curve, wedge(d_second(psi), phi), rule)
-    rhs = integrate(curve, wedge(psi, d_second(phi)), rule)
+    lhs = integrate(curve, wedge(d_second(psi), phi))
+    rhs = integrate(curve, wedge(psi, d_second(phi)))
     report.add(
         "integration-by-parts",
         "pairing of d'' against a weakly differentiable partner is antisymmetric",
@@ -356,9 +355,7 @@ def _principal_angle(system, spectral, exact_forms) -> float:
     return float(np.arccos(np.clip(cosines.min() if cosines.size else 1.0, -1.0, 1.0)))
 
 
-def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 / 32),
-                        rule: QuadratureRule = DEFAULT_RULE, trunc_eps: float = 1e-4,
-                        gap_ratio_min: float = 1000.0) -> CheckReport:
+def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 / 32)) -> CheckReport:
     """Cross-checks every computation of the harmonic dimensions.
 
     genus = topological betti_1 = exact (1,0) nullspace dimension =
@@ -381,13 +378,13 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     scalar_values = [basis00.dimension, basis11.dimension, cech_omega[1], cech_const[0]]
     for h in h_list:
         try:
-            mesh = build_mesh(curve, g, h, trunc_eps, rule)
+            mesh = build_mesh(curve, g, h, TRUNC_EPS)
             system = assemble(mesh, curve, g, (1, 0))
-            spectral = kernel(system, gap_ratio_min)
+            spectral = kernel(system)
             values.append(spectral.kernel_dimension)
             angle10 = max(angle10, _principal_angle(system, spectral, list(basis10.forms)))
             system0 = assemble(mesh, curve, g, (0, 0))
-            spectral0 = kernel(system0, gap_ratio_min)
+            spectral0 = kernel(system0)
             scalar_values.append(spectral0.kernel_dimension)
             angle00 = max(angle00, _principal_angle(system0, spectral0, list(basis00.forms)))
         except AmbiguousKernelError:
@@ -467,8 +464,7 @@ def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
     return forms
 
 
-def check_star_identities(curve: TropicalCurve, g: KahlerForm,
-                          rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-7) -> CheckReport:
+def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7) -> CheckReport:
     """Star involution sign, star isometry, star/Laplacian commutation."""
     report = CheckReport()
 
@@ -494,8 +490,8 @@ def check_star_identities(curve: TropicalCurve, g: KahlerForm,
         family = _star_family(curve, (p, q))
         for i in range(len(family)):
             for j in range(i, len(family)):
-                direct = inner_product(family[i], family[j], g, rule)
-                starred = inner_product(hodge_star(family[i], g), hodge_star(family[j], g), g, rule)
+                direct = inner_product(family[i], family[j], g)
+                starred = inner_product(hodge_star(family[i], g), hodge_star(family[j], g), g)
                 worst = max(worst, abs(direct - starred))
     report.add(
         "star-isometry",
@@ -550,7 +546,7 @@ def _laplacian_formula_note(curve: TropicalCurve, g: KahlerForm) -> str:
     )
 
 
-def check_theta_correspondence(rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-6) -> CheckReport:
+def check_theta_correspondence(tol: float = 1e-6) -> CheckReport:
     """Tropical integrals match the two-dimensional annulus integrals."""
     report = CheckReport()
     cases = [
@@ -564,7 +560,7 @@ def check_theta_correspondence(rule: QuadratureRule = DEFAULT_RULE, tol: float =
     ]
     for check_id, fn, interval in cases:
         start = time.perf_counter()
-        result = theta_module.compare_tropical_complex(fn, interval, rule, tol)
+        result = theta_module.compare_tropical_complex(fn, interval, tol)
         report.add(
             check_id,
             "a tropical interval integral equals the corresponding annulus integral",
@@ -575,18 +571,17 @@ def check_theta_correspondence(rule: QuadratureRule = DEFAULT_RULE, tol: float =
     return report
 
 
-def run_verification(curve: TropicalCurve, g: KahlerForm, rule: QuadratureRule = DEFAULT_RULE,
-                     seed: int = 0, h_list=(1 / 16, 1 / 32), trunc_eps: float = 1e-4,
+def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=(1 / 16, 1 / 32),
                      form_count: int = 20) -> CheckReport:
     """All verification suites on one curve, run in a fixed order."""
     report = CheckReport(seed=seed)
     forms = regular_test_forms(curve, (1, 0), form_count, seed)
-    report.extend(check_stokes(curve, forms, g, rule, seed=seed))
+    report.extend(check_stokes(curve, forms, g, seed=seed))
 
     worst = 0.0
     for k in range(form_count):
         psi, phi = energy_test_pair(curve, seed + 1000 + k)
-        sub = check_integration_by_parts(curve, psi, phi, g, rule)
+        sub = check_integration_by_parts(curve, psi, phi, g)
         worst = max(worst, sub.checks[0].residual)
     report.add(
         "integration-by-parts",
@@ -596,7 +591,7 @@ def run_verification(curve: TropicalCurve, g: KahlerForm, rule: QuadratureRule =
         0.0,
     )
 
-    report.extend(check_hodge_theorem(curve, g, h_list, rule, trunc_eps))
-    report.extend(check_star_identities(curve, g, rule))
-    report.extend(check_theta_correspondence(rule))
+    report.extend(check_hodge_theorem(curve, g, h_list))
+    report.extend(check_star_identities(curve, g))
+    report.extend(check_theta_correspondence())
     return report

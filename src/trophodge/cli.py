@@ -21,7 +21,7 @@ from .discrete import assemble, build_mesh, kernel, spectrum
 from .expressions import ExpressionError, parse_expression
 from .harmonic import harmonic_basis
 from .metric import KahlerError, KahlerForm
-from .quadrature import DEFAULT_RULE, DivergenceError
+from .quadrature import DivergenceError
 
 __all__ = ["main", "run", "parse_expression"]
 
@@ -75,7 +75,7 @@ def _build_parser():
     p.add_argument("--bidegree", default="00", help="two bits pq, only 00 or 10")
     p.add_argument("--h", type=float, default=1 / 32, help="mesh step")
     p.add_argument("--k", type=int, default=6, help="number of eigenvalues")
-    p.add_argument("--trunc-eps", type=float, default=1e-4, help="tail truncation threshold")
+    p.add_argument("--trunc-eps", type=float, default=checks_module.TRUNC_EPS, help="tail truncation threshold")
     p.add_argument("--csv", default=None, help="also write index,eigenvalue,h rows here")
 
     p = add("verify", "run every verification suite")
@@ -142,9 +142,7 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         g = KahlerForm.validated(curve, kahler_spec)
-        report = checks_module.run_verification(
-            curve, g, DEFAULT_RULE, seed=args.seed, h_list=tuple(args.h_list), form_count=args.forms,
-        )
+        report = checks_module.run_verification(curve, g, args.seed, tuple(args.h_list), args.forms)
         _write_report(report.as_dict(include_timings=args.timings), args.out)
         return 0 if report.passed else 1
 

@@ -38,7 +38,7 @@ import scipy.sparse
 from .curve import TropicalCurve
 from .exact import rref  # noqa: F401 -- unused; the benchmark's tracer wraps discrete.rref by name
 from .metric import KahlerForm
-from .quadrature import DEFAULT_RULE, QuadratureRule, gauss_legendre, integrate_finite, integrate_lower_tail
+from .quadrature import integrate_finite, integrate_lower_tail, panel_samples
 from .superform import Bidegree, EdgeFunction, Superform
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _TAIL_SEARCH_CAP = 2**60
+_ELEMENT_NODES = 8  # Gauss-Legendre nodes per element in assembly
 
 
 class AmbiguousKernelError(RuntimeError):
@@ -87,7 +88,7 @@ class Mesh:
         return None
 
 
-def _tail_cutoff(fn: EdgeFunction, trunc_eps: float, rule: QuadratureRule) -> TruncationRecord | None:
+def _tail_cutoff(fn: EdgeFunction, trunc_eps: float) -> TruncationRecord | None:
     """Smallest doubling candidate L with both tail integrals <= eps."""
     candidates = [0.0]
     L = 1.0
@@ -95,15 +96,14 @@ def _tail_cutoff(fn: EdgeFunction, trunc_eps: float, rule: QuadratureRule) -> Tr
         candidates.append(L)
         L *= 2.0
     for L in candidates:
-        mass = integrate_lower_tail(fn, -L, rule)
-        moment = integrate_lower_tail(lambda x: np.asarray(x) ** 2 * np.asarray(fn(x)), -L, rule)
+        mass = integrate_lower_tail(fn, -L)
+        moment = integrate_lower_tail(lambda x: np.asarray(x) ** 2 * np.asarray(fn(x)), -L)
         if mass <= trunc_eps and moment <= trunc_eps:
             return TruncationRecord("", L, mass, moment)
     return None
 
 
-def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float,
-               rule: QuadratureRule = DEFAULT_RULE) -> Mesh:
+def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float) -> Mesh:
     """Uniform step <= h per edge; infinite edges truncated first."""
     if h <= 0 or trunc_eps <= 0:
         raise ValueError("h and trunc_eps must be positive")
@@ -111,7 +111,7 @@ def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float,
     truncations = []
     for e in curve.sorted_edges():
         if e.infinite:
-            rec = _tail_cutoff(g.weights[e.id], trunc_eps, rule)
+            rec = _tail_cutoff(g.weights[e.id], trunc_eps)
             if rec is None:
                 raise ValueError(
                     f"edge {e.id!r}: no cutoff below 2^60 keeps tail integrals under {trunc_eps}"
@@ -187,25 +187,15 @@ def _dof_layout(mesh: Mesh, bidegree: Bidegree) -> DofMap:
     return DofMap(counter, edge_dofs, vertex_dofs)
 
 
-def _element_weights(fn, coords: np.ndarray, order: int = 8) -> np.ndarray:
+def _element_weights(fn, coords: np.ndarray) -> np.ndarray:
     """Per-element integrals of ``fn`` over [coords[i], coords[i+1]]."""
-    xi, wi = gauss_legendre(order)
-    lo, hi = coords[:-1], coords[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    points = mid[:, None] + half[:, None] * xi[None, :]
-    values = np.asarray(fn(points.ravel()), dtype=float).reshape(points.shape)
+    values, _, wi, half = panel_samples(fn, coords[:-1], coords[1:], _ELEMENT_NODES)
     return (values @ wi) * half
 
 
-def _element_mass_weighted(fn, coords: np.ndarray, order: int = 8):
+def _element_mass_weighted(fn, coords: np.ndarray):
     """P1 element mass matrices (2x2 each) with weight ``fn``."""
-    xi, wi = gauss_legendre(order)
-    lo, hi = coords[:-1], coords[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    points = mid[:, None] + half[:, None] * xi[None, :]
-    values = np.asarray(fn(points.ravel()), dtype=float).reshape(points.shape)
+    values, xi, wi, half = panel_samples(fn, coords[:-1], coords[1:], _ELEMENT_NODES)
     # reference basis on [-1, 1]: (1 - t)/2 and (1 + t)/2
     phi0 = 0.5 * (1.0 - xi)
     phi1 = 0.5 * (1.0 + xi)
@@ -469,18 +459,16 @@ class _Cumulative:
     points.
     """
 
-    def __init__(self, fn, lo: float, hi: float, order: int = 16, panel: float = 0.125):
+    NODES = 16
+    PANEL = 0.125
+
+    def __init__(self, fn, lo: float, hi: float):
         self.fn = fn
         self.lo = lo
         self.hi = hi
-        self.order = order
-        n = max(2, int(math.ceil((hi - lo) / panel)))
+        n = max(2, int(math.ceil((hi - lo) / self.PANEL)))
         self.bounds = np.linspace(lo, hi, n + 1)
-        xi, wi = gauss_legendre(order)
-        half = 0.5 * np.diff(self.bounds)
-        mid = 0.5 * (self.bounds[:-1] + self.bounds[1:])
-        points = mid[:, None] + half[:, None] * xi[None, :]
-        values = np.asarray(fn(points.ravel()), dtype=float).reshape(points.shape)
+        values, _, wi, half = panel_samples(fn, self.bounds[:-1], self.bounds[1:], self.NODES)
         panel_integrals = (values @ wi) * half
         self.prefix = np.concatenate([[0.0], np.cumsum(panel_integrals)])
 
@@ -490,15 +478,11 @@ class _Cumulative:
         idx = np.clip(np.searchsorted(self.bounds, x, side="right") - 1, 0, len(self.bounds) - 2)
         lo = self.bounds[idx]
         base = self.prefix[idx]
-        xi, wi = gauss_legendre(self.order)
-        half = 0.5 * (x - lo)
-        mid = 0.5 * (x + lo)
-        points = mid[:, None] + half[:, None] * xi[None, :]
-        values = np.asarray(self.fn(points.ravel()), dtype=float).reshape(points.shape)
+        values, _, wi, half = panel_samples(self.fn, lo, x, self.NODES)
         return base + (values @ wi) * half
 
 
-def _tail_psi(fn_omega, p: int, a: float, rule: QuadratureRule, domain) -> EdgeFunction:
+def _tail_psi(fn_omega, p: int, a: float, domain) -> EdgeFunction:
     reach = 48.0
     cumulative = _Cumulative(fn_omega, a - reach, a)
     if p == 0:
@@ -513,7 +497,7 @@ def _tail_psi(fn_omega, p: int, a: float, rule: QuadratureRule, domain) -> EdgeF
                 flat = np.atleast_1d(out)
                 for i in np.nonzero(np.atleast_1d(deep))[0]:
                     xi_val = float(np.atleast_1d(x)[i])
-                    flat[i] = -integrate_finite(fn_omega, xi_val, a, rule)
+                    flat[i] = -integrate_finite(fn_omega, xi_val, a)
                 out = flat
             return out if np.ndim(x) else float(np.atleast_1d(out)[0])
 
@@ -522,7 +506,7 @@ def _tail_psi(fn_omega, p: int, a: float, rule: QuadratureRule, domain) -> EdgeF
 
     # p = 1: psi(x) = -int_{-inf}^x omega
     anchor = a - reach
-    head = integrate_lower_tail(fn_omega, anchor, rule)
+    head = integrate_lower_tail(fn_omega, anchor)
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -532,7 +516,7 @@ def _tail_psi(fn_omega, p: int, a: float, rule: QuadratureRule, domain) -> EdgeF
             flat = np.atleast_1d(out)
             xv = np.atleast_1d(x)
             for i in np.nonzero(deep)[0]:
-                flat[i] = -integrate_lower_tail(fn_omega, float(xv[i]), rule)
+                flat[i] = -integrate_lower_tail(fn_omega, float(xv[i]))
             out = flat
         return out if np.ndim(x) else float(np.atleast_1d(out)[0])
 
@@ -540,8 +524,7 @@ def _tail_psi(fn_omega, p: int, a: float, rule: QuadratureRule, domain) -> EdgeF
     return EdgeFunction(value, lambda: deriv, None, domain)
 
 
-def solve_dbar_local(omega: Superform, g: KahlerForm, rule: QuadratureRule,
-                     neighborhood) -> Superform:
+def solve_dbar_local(omega: Superform, g: KahlerForm, neighborhood) -> Superform:
     """Right inverse of d'' on a tail neighborhood or a vertex star.
 
     Tail [-inf, a): for (0,1) input the solution is
@@ -561,7 +544,7 @@ def solve_dbar_local(omega: Superform, g: KahlerForm, rule: QuadratureRule,
             raise ValueError(f"edge {e.id!r} is finite; tail neighborhoods live on infinite edges")
         fn = omega.coefficients[e.id]
         domain = (-math.inf, neighborhood.a)
-        psi = _tail_psi(fn, p, neighborhood.a, rule, domain)
+        psi = _tail_psi(fn, p, neighborhood.a, domain)
         return Superform(Bidegree(p, 0), {e.id: psi})
 
     if not isinstance(neighborhood, StarNeighborhood):

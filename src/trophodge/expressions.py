@@ -220,6 +220,9 @@ def _tokenize(text: str):
     return tokens
 
 
+MAX_EXPONENT = 1024
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -285,7 +288,10 @@ class _Parser:
         return base
 
     def exponent(self) -> int:
-        # Integer powers only; a '^' chain associates to the right.
+        # Integer powers only; a '^' chain associates to the right.  Each
+        # power along the chain must be an integer of magnitude at most
+        # MAX_EXPONENT.  A literal has at most 4 significant digits and the
+        # exponent m of the chain is already bounded, so n ** abs(m) is cheap.
         sign = 1
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
@@ -295,11 +301,19 @@ class _Parser:
         if kind != "num" or any(c in value for c in ".eE"):
             raise ExpressionError("exponent must be an integer literal", pos)
         self.advance()
+        too_large = ExpressionError(f"exponent exceeds {MAX_EXPONENT} in magnitude", pos)
+        if len(value.lstrip("0")) > 4:
+            raise too_large
         n = sign * int(value)
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            n = n ** self.exponent()
+            m = self.exponent()
+            if m < 0 and abs(n) != 1:
+                raise ExpressionError(f"exponent {n}^{m} is not an integer", pos)
+            n = n ** abs(m)  # an int, and for n = +-1 equal to n ** m
+        if abs(n) > MAX_EXPONENT:
+            raise too_large
         return n
 
     def atom(self) -> Expression:

@@ -176,17 +176,13 @@ def _cech_omega1(curve: TropicalCurve) -> tuple[int, int]:
         d = len(ends)
         # star section with vertex-local end values: +1 on end i, -1 on end d-1
         for end_index, value in ((i, 1), (d - 1, -1)):
-            e, side = ends[end_index]
+            e, _ = ends[end_index]
             # restriction to the edge overlap, written in the canonical
             # chart: +value from a head end, -value from a tail end; the
             # Cech sign is + for the head star and - for the tail star,
-            # so both contributions enter the edge row as +value and
-            # +value respectively.
-            row = edge_row[e.id]
-            if side == "head":
-                delta[row][col] += value
-            else:
-                delta[row][col] += value
+            # so both contributions enter the edge row as +value, and
+            # the side of the end does not matter.
+            delta[edge_row[e.id]][col] += value
 
     dim_c0 = len(columns)
     dim_c1 = len(edges)

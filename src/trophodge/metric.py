@@ -17,18 +17,12 @@ formulas serve as independent oracles in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import TropicalCurve
-from .quadrature import (
-    DEFAULT_RULE,
-    DivergenceError,
-    QuadratureRule,
-    integrate_finite,
-    integrate_lower_tail,
-)
+from .quadrature import DivergenceError, integrate_finite, integrate_lower_tail
 from .superform import Bidegree, EdgeFunction, Superform, d_second, wedge
 
 __all__ = [
@@ -55,12 +49,10 @@ class KahlerError(ValueError):
 
 @dataclass
 class KahlerForm:
-    """Per-edge positive weight g_e with cached mass and second moments."""
+    """Per-edge positive weight g_e; validate_kahler reports its masses."""
 
     curve: TropicalCurve
     weights: dict[str, EdgeFunction]
-    edge_mass: dict[str, float] = field(default_factory=dict)
-    second_moments: dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def constant(cls, curve: TropicalCurve, value: float = 1.0) -> "KahlerForm":
@@ -83,12 +75,24 @@ class KahlerForm:
 
         Edges without an entry default to the constant weight 1 when
         finite and to the Fubini-Study weight when infinite (a constant
-        has divergent mass there).  A malformed spec raises KahlerError.
+        has divergent mass there).  A malformed spec, or a key that names
+        no edge of the curve, raises KahlerError.
         """
         weights = {}
         spec = spec or {}
         if not isinstance(spec, dict):
             raise KahlerError('"kahler" must be an object keyed by edge id')
+        edge_ids = {e.id for e in curve.edges}
+        for key in spec:
+            if key in edge_ids:
+                continue
+            split = next((n for n in curve.normalizations if n["edge"] == key), None)
+            if split is not None:
+                raise KahlerError(
+                    f"kahler key {key!r} names an edge that was split in two; "
+                    f"key its halves {split['left']!r} and {split['right']!r}"
+                )
+            raise KahlerError(f"kahler key {key!r} names no edge of the curve")
         for e in curve.sorted_edges():
             entry = spec.get(e.id)
             if entry is None:
@@ -118,22 +122,15 @@ class KahlerForm:
         return cls(curve, weights)
 
     @classmethod
-    def validated(cls, curve: TropicalCurve, spec: dict | None = None, rule: QuadratureRule = DEFAULT_RULE) -> "KahlerForm":
+    def validated(cls, curve: TropicalCurve, spec: dict | None = None) -> "KahlerForm":
         g = cls.from_spec(curve, spec)
-        report = validate_kahler(curve, g, rule)
+        report = validate_kahler(curve, g)
         if not report.passed:
             raise KahlerError("; ".join(report.failures()))
         return g
 
     def as_superform(self) -> Superform:
         return Superform(Bidegree(1, 1), dict(self.weights))
-
-    def total_mass(self, rule: QuadratureRule = DEFAULT_RULE) -> float:
-        if len(self.edge_mass) != len(self.weights):
-            for e in self.curve.sorted_edges():
-                if e.id not in self.edge_mass:
-                    self.edge_mass[e.id] = edge_integral(self.curve, self.weights[e.id], e.id, rule)
-        return float(sum(self.edge_mass[eid] for eid in sorted(self.edge_mass)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def _positivity_samples(e, depth: int) -> np.ndarray:
     return np.linspace(-e.length, 0.0, 16 * depth + 1)
 
 
-def validate_kahler(curve: TropicalCurve, g: KahlerForm, rule: QuadratureRule = DEFAULT_RULE) -> KahlerValidationReport:
+def validate_kahler(curve: TropicalCurve, g: KahlerForm) -> KahlerValidationReport:
     """Positivity plus convergence of mass and second-moment integrals.
 
     Positivity is sampled on a refinement-doubling grid; the integrals
@@ -189,7 +186,7 @@ def validate_kahler(curve: TropicalCurve, g: KahlerForm, rule: QuadratureRule = 
              "positive on doubling sample grid" if positive else f"min sample {values.min():.3e}")
         )
         try:
-            mass = edge_integral(curve, fn, e.id, rule)
+            mass = edge_integral(curve, fn, e.id)
         except DivergenceError as exc:
             entries.append((e.id, "mass", False, f"divergent: {exc}"))
         else:
@@ -197,32 +194,30 @@ def validate_kahler(curve: TropicalCurve, g: KahlerForm, rule: QuadratureRule = 
             entries.append((e.id, "mass", True, f"mass {mass!r}"))
         if e.infinite:
             try:
-                moment = integrate_lower_tail(lambda x: np.asarray(x) ** 2 * np.asarray(fn(x)), 0.0, rule)
+                moment = integrate_lower_tail(lambda x: np.asarray(x) ** 2 * np.asarray(fn(x)), 0.0)
             except DivergenceError as exc:
                 entries.append((e.id, "second-moment", False, f"divergent: {exc}"))
             else:
                 second_moments[e.id] = moment
                 entries.append((e.id, "second-moment", True, f"second moment {moment!r}"))
-    g.edge_mass.update(edge_mass)
-    g.second_moments.update(second_moments)
     return KahlerValidationReport(tuple(entries), edge_mass, second_moments)
 
 
-def edge_integral(curve: TropicalCurve, fn, edge_id: str, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def edge_integral(curve: TropicalCurve, fn, edge_id: str) -> float:
     """Chart integral of a scalar coefficient over one edge."""
     e = curve.edge(edge_id)
     if e.infinite:
-        return integrate_lower_tail(fn, 0.0, rule)
-    return integrate_finite(fn, -e.length, 0.0, rule)
+        return integrate_lower_tail(fn, 0.0)
+    return integrate_finite(fn, -e.length, 0.0)
 
 
-def integrate(curve: TropicalCurve, form: Superform, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def integrate(curve: TropicalCurve, form: Superform) -> float:
     """Tropical integral of a (1,1) form: the sum of chart integrals."""
     if form.bidegree.as_tuple() != (1, 1):
         raise ValueError(f"tropical integration needs bidegree (1,1), got {form.bidegree.as_tuple()}")
     total = 0.0
     for e in curve.sorted_edges():
-        total += edge_integral(curve, form.coefficients[e.id], e.id, rule)
+        total += edge_integral(curve, form.coefficients[e.id], e.id)
     return total
 
 
@@ -241,11 +236,11 @@ def hodge_star(form: Superform, g: KahlerForm) -> Superform:
     return Superform(Bidegree(1 - p, 1 - q), coeffs, form.vanishes_dimensionally)
 
 
-def inner_product(a: Superform, b: Superform, g: KahlerForm, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def inner_product(a: Superform, b: Superform, g: KahlerForm) -> float:
     """Scalar product (a, b) = integral of a ^ *b over the curve of g."""
     if a.bidegree != b.bidegree:
         raise ValueError("inner product needs forms of equal bidegree")
-    return integrate(g.curve, wedge(a, hodge_star(b, g)), rule)
+    return integrate(g.curve, wedge(a, hodge_star(b, g)))
 
 
 def codifferential(form: Superform, g: KahlerForm) -> Superform:

@@ -15,52 +15,35 @@ infinite edge then fail deterministically instead of stabilizing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "DivergenceError",
     "integrate_finite",
     "integrate_lower_tail",
     "integrate_upper_tail",
     "integrate_interval",
     "gauss_legendre",
+    "panel_samples",
 ]
+
+# Panel layout and tolerances for every integral in the package.  A
+# finite chart starts with PANELS_PER_UNIT panels per unit length (at
+# least MIN_PANELS) of NODES_PER_PANEL Gauss-Legendre nodes; an infinite
+# edge starts with a geometric grading TAIL_LEVELS octaves deep.
+NODES_PER_PANEL = 16
+PANELS_PER_UNIT = 2.0
+MIN_PANELS = 2
+TAIL_LEVELS = 10
+TOL_FINITE = 1e-11
+TOL_INFINITE = 1e-9
+MAX_REFINEMENTS = 14
 
 
 class DivergenceError(ArithmeticError):
     """Refinements failed to stabilize; the integral is treated as divergent."""
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Panel layout and tolerances for every integral in the package.
-
-    panels_per_unit fixes the initial uniform partition of finite charts
-    (at least min_panels per edge); nodes_per_panel is the Gauss-Legendre
-    order; tail_levels is the initial depth of the geometric grading for
-    infinite edges.
-    """
-
-    nodes_per_panel: int = 16
-    panels_per_unit: float = 2.0
-    min_panels: int = 2
-    tail_levels: int = 10
-    tol_finite: float = 1e-11
-    tol_infinite: float = 1e-9
-    max_refinements: int = 14
-
-    def __post_init__(self):
-        if self.tol_finite <= 0 or self.tol_infinite <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.nodes_per_panel < 2:
-            raise ValueError("need at least two nodes per panel")
-
-
-DEFAULT_RULE = QuadratureRule()
 
 
 @lru_cache(maxsize=32)
@@ -69,25 +52,34 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panels_value(f, bounds: np.ndarray, n: int) -> float:
-    """Composite GL over the panels given by consecutive bounds."""
+def panel_samples(f, lo: np.ndarray, hi: np.ndarray, n: int):
+    """f at the n Gauss-Legendre nodes of each panel [lo[i], hi[i]].
+
+    Returns (values, xi, wi, half): values has one row per panel, xi and
+    wi are the nodes and weights on [-1, 1], and half holds the panel
+    half-widths, so (values @ wi) * half are the panel integrals.
+    """
     xi, wi = gauss_legendre(n)
-    lo = bounds[:-1]
-    hi = bounds[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * xi[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return values, xi, wi, half
+
+
+def _panels_value(f, bounds: np.ndarray) -> float:
+    """Composite GL over the panels given by consecutive bounds."""
+    values, _, wi, half = panel_samples(f, bounds[:-1], bounds[1:], NODES_PER_PANEL)
     if not np.all(np.isfinite(values)):
         raise DivergenceError("integrand is not finite on the quadrature grid")
     return float(np.sum((values @ wi) * half))
 
 
-def _refine(level_value, tol: float, max_refinements: int) -> float:
+def _refine(level_value, tol: float) -> float:
     previous = level_value(0)
     stall = 0
     last_diff = None
-    for k in range(1, max_refinements + 1):
+    for k in range(1, MAX_REFINEMENTS + 1):
         current = level_value(k)
         diff = abs(current - previous)
         if diff <= tol:
@@ -104,24 +96,22 @@ def _refine(level_value, tol: float, max_refinements: int) -> float:
         last_diff = diff
         previous = current
     raise DivergenceError(
-        f"no stabilization within {max_refinements} refinements (last change {last_diff!r})"
+        f"no stabilization within {MAX_REFINEMENTS} refinements (last change {last_diff!r})"
     )
 
 
-def integrate_finite(f, a: float, b: float, rule: QuadratureRule = DEFAULT_RULE, tol: float | None = None) -> float:
+def integrate_finite(f, a: float, b: float) -> float:
     """Integral of f over the finite interval [a, b]."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_finite needs finite endpoints")
     if a == b:
         return 0.0
-    tol = rule.tol_finite if tol is None else tol
-    base = max(rule.min_panels, int(math.ceil(abs(b - a) * rule.panels_per_unit)))
+    base = max(MIN_PANELS, int(math.ceil(abs(b - a) * PANELS_PER_UNIT)))
 
     def level_value(k: int) -> float:
-        bounds = np.linspace(a, b, base * 2**k + 1)
-        return _panels_value(f, bounds, rule.nodes_per_panel)
+        return _panels_value(f, np.linspace(a, b, base * 2**k + 1))
 
-    return _refine(level_value, tol, rule.max_refinements)
+    return _refine(level_value, TOL_FINITE)
 
 
 def _graded_unit_bounds(depth: int, splits: int) -> np.ndarray:
@@ -136,39 +126,34 @@ def _graded_unit_bounds(depth: int, splits: int) -> np.ndarray:
     return np.asarray(bounds)
 
 
-def _integrate_unit_graded(h, rule: QuadratureRule, tol: float) -> float:
+def _integrate_unit_graded(h) -> float:
     def level_value(k: int) -> float:
-        depth = rule.tail_levels + 2 * k
-        splits = 1 + k // 2
-        bounds = _graded_unit_bounds(depth, splits)
-        return _panels_value(h, bounds, rule.nodes_per_panel)
+        return _panels_value(h, _graded_unit_bounds(TAIL_LEVELS + 2 * k, 1 + k // 2))
 
-    return _refine(level_value, tol, rule.max_refinements)
+    return _refine(level_value, TOL_INFINITE)
 
 
-def integrate_lower_tail(f, c: float, rule: QuadratureRule = DEFAULT_RULE, tol: float | None = None) -> float:
+def integrate_lower_tail(f, c: float) -> float:
     """Integral of f over (-inf, c] via the substitution u = exp(x - c)."""
-    tol = rule.tol_infinite if tol is None else tol
 
     def h(u):
         u = np.asarray(u, dtype=float)
         return np.asarray(f(c + np.log(u)), dtype=float) / u
 
-    return _integrate_unit_graded(h, rule, tol)
+    return _integrate_unit_graded(h)
 
 
-def integrate_upper_tail(f, c: float, rule: QuadratureRule = DEFAULT_RULE, tol: float | None = None) -> float:
+def integrate_upper_tail(f, c: float) -> float:
     """Integral of f over [c, +inf) via the substitution u = exp(-(x - c))."""
-    tol = rule.tol_infinite if tol is None else tol
 
     def h(u):
         u = np.asarray(u, dtype=float)
         return np.asarray(f(c - np.log(u)), dtype=float) / u
 
-    return _integrate_unit_graded(h, rule, tol)
+    return _integrate_unit_graded(h)
 
 
-def integrate_interval(f, a: float, b: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def integrate_interval(f, a: float, b: float) -> float:
     """Integral of f over (a, b) where either endpoint may be infinite."""
     if a >= b:
         if a == b:
@@ -177,9 +162,9 @@ def integrate_interval(f, a: float, b: float, rule: QuadratureRule = DEFAULT_RUL
     lower_inf = math.isinf(a)
     upper_inf = math.isinf(b)
     if lower_inf and upper_inf:
-        return integrate_lower_tail(f, 0.0, rule) + integrate_upper_tail(f, 0.0, rule)
+        return integrate_lower_tail(f, 0.0) + integrate_upper_tail(f, 0.0)
     if lower_inf:
-        return integrate_lower_tail(f, b, rule)
+        return integrate_lower_tail(f, b)
     if upper_inf:
-        return integrate_upper_tail(f, a, rule)
-    return integrate_finite(f, a, b, rule)
+        return integrate_upper_tail(f, a)
+    return integrate_finite(f, a, b)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import TropicalCurve
 from .metric import KahlerForm
-from .quadrature import DEFAULT_RULE, QuadratureRule, _refine, gauss_legendre, integrate_interval
+from .quadrature import NODES_PER_PANEL, TAIL_LEVELS, TOL_INFINITE, _refine, gauss_legendre, integrate_interval
 from .superform import Superform
 
 __all__ = [
@@ -66,7 +66,7 @@ def _radial_bounds(domain: AnnulusDomain, depth: int, splits: int) -> np.ndarray
     return bounds
 
 
-def annulus_integral(form, domain: AnnulusDomain, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def annulus_integral(form, domain: AnnulusDomain) -> float:
     """Two-dimensional polar integral of the image of f d'x^d''x.
 
     ``form`` is the coefficient f: an EdgeFunction, a callable, or a
@@ -81,10 +81,10 @@ def annulus_integral(form, domain: AnnulusDomain, rule: QuadratureRule = DEFAULT
     theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
     phases = np.exp(1j * theta)
     angular_weight = 2.0 * math.pi / ANGULAR_NODES
-    xi, wi = gauss_legendre(rule.nodes_per_panel)
+    xi, wi = gauss_legendre(NODES_PER_PANEL)
 
     def level_value(k: int) -> float:
-        depth = rule.tail_levels + 2 * k
+        depth = TAIL_LEVELS + 2 * k
         splits = 2 + k
         bounds = _radial_bounds(domain, depth, splits)
         lo, hi = bounds[:-1], bounds[1:]
@@ -99,7 +99,7 @@ def annulus_integral(form, domain: AnnulusDomain, rule: QuadratureRule = DEFAULT
         radial_profile = radial_profile.reshape(len(lo), len(xi))
         return float(np.sum((radial_profile @ wi) * half))
 
-    return _refine(level_value, rule.tol_infinite, rule.max_refinements)
+    return _refine(level_value, TOL_INFINITE)
 
 
 def _coefficient_callable(form):
@@ -112,18 +112,17 @@ def _coefficient_callable(form):
     return form
 
 
-def tropical_interval_integral(form, a: float, b: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def tropical_interval_integral(form, a: float, b: float) -> float:
     """One-dimensional tropical integral of the coefficient over (a, b)."""
     f = _coefficient_callable(form)
-    return integrate_interval(f, a, b, rule)
+    return integrate_interval(f, a, b)
 
 
-def compare_tropical_complex(form, interval: tuple[float, float], rule: QuadratureRule = DEFAULT_RULE,
-                             tol: float = 1e-6) -> dict:
+def compare_tropical_complex(form, interval: tuple[float, float], tol: float = 1e-6) -> dict:
     """Residual between the tropical and the annulus value of one integral."""
     a, b = interval
-    tropical = tropical_interval_integral(form, a, b, rule)
-    annulus = annulus_integral(form, AnnulusDomain(a, b), rule)
+    tropical = tropical_interval_integral(form, a, b)
+    annulus = annulus_integral(form, AnnulusDomain(a, b))
     residual = abs(tropical - annulus)
     return {
         "tropical": tropical,

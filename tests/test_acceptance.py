@@ -27,11 +27,10 @@ from trophodge.curve import genus, serialize
 from trophodge.discrete import TailNeighborhood, assemble, build_mesh, kernel, solve_dbar_local, spectrum
 from trophodge.harmonic import betti, cech_cohomology, harmonic_basis
 from trophodge.metric import KahlerForm, validate_kahler
-from trophodge.quadrature import QuadratureRule, gauss_legendre, integrate_finite, integrate_lower_tail
+from trophodge.quadrature import NODES_PER_PANEL, gauss_legendre, integrate_finite, integrate_lower_tail
 from trophodge.superform import Bidegree, EdgeFunction, Superform, is_regular
 from trophodge.theta import compare_tropical_complex, fubini_study_form
 
-RULE = QuadratureRule()
 LN2 = math.log(2.0)
 
 SUITE = [
@@ -112,11 +111,11 @@ def test_criterion_3_stokes_and_integration_by_parts():
         g = KahlerForm.from_spec(curve, None)
         tol = 1e-7 if curve.infinite_edges() else 1e-8
         forms = regular_test_forms(curve, (1, 0), 20, seed=0)
-        stokes = check_stokes(curve, forms, g, RULE, tol=tol, seed=0)
+        stokes = check_stokes(curve, forms, g, tol=tol, seed=0)
         worst_ibp = 0.0
         for k in range(20):
             psi, phi = energy_test_pair(curve, 1000 + k)
-            report = check_integration_by_parts(curve, psi, phi, g, RULE, tol=tol)
+            report = check_integration_by_parts(curve, psi, phi, g, tol=tol)
             worst_ibp = max(worst_ibp, report.checks[0].residual)
         curve_ok = stokes.passed and worst_ibp <= tol
         ok = ok and curve_ok
@@ -131,7 +130,7 @@ def test_criterion_4_hodge_star_identities():
     for name, factory in (("triangle", curves.triangle), ("triangle-with-legs", curves.triangle_with_legs)):
         curve = factory()
         g = KahlerForm.from_spec(curve, None)
-        report = check_star_identities(curve, g, RULE, tol=1e-7)
+        report = check_star_identities(curve, g, tol=1e-7)
         by_id = {c.check_id: c for c in report.checks}
         curve_ok = (
             by_id["star-involution"].residual == 0.0
@@ -149,7 +148,7 @@ def test_criterion_4_hodge_star_identities():
 
 def _tail_quadrature_grid() -> np.ndarray:
     """The actual integration nodes of the tail substitution, in x."""
-    xi, _ = gauss_legendre(RULE.nodes_per_panel)
+    xi, _ = gauss_legendre(NODES_PER_PANEL)
     bounds = [2.0**-j for j in range(14, -1, -1)]
     nodes = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -166,14 +165,14 @@ def test_criterion_5_local_dbar_inverse():
     omega_fn = EdgeFunction.polynomial([0.6, -0.3], domain=dom) * _smoothstep_window(_TAIL_WINDOW_BOUND, dom)
 
     # pointwise estimates for both bidegrees on the quadrature grid
-    psi0 = solve_dbar_local(Superform(Bidegree(0, 1), {"left": omega_fn}), g, RULE, TailNeighborhood("left"))
-    norm0 = math.sqrt(integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2, 0.0, RULE))
+    psi0 = solve_dbar_local(Superform(Bidegree(0, 1), {"left": omega_fn}), g, TailNeighborhood("left"))
+    norm0 = math.sqrt(integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2, 0.0))
     ratio0 = np.max(np.abs(np.asarray(psi0.coefficients["left"](grid))) / (np.sqrt(-grid) * norm0))
 
-    psi1 = solve_dbar_local(Superform(Bidegree(1, 1), {"left": omega_fn}), g, RULE, TailNeighborhood("left"))
+    psi1 = solve_dbar_local(Superform(Bidegree(1, 1), {"left": omega_fn}), g, TailNeighborhood("left"))
     gfn = g.weights["left"]
-    norm1 = math.sqrt(integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2 / np.asarray(gfn(x)), 0.0, RULE))
-    bound1 = np.array([math.sqrt(integrate_lower_tail(gfn, float(x), RULE)) for x in grid]) * norm1
+    norm1 = math.sqrt(integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2 / np.asarray(gfn(x)), 0.0))
+    bound1 = np.array([math.sqrt(integrate_lower_tail(gfn, float(x))) for x in grid]) * norm1
     ratio1 = np.max(np.abs(np.asarray(psi1.coefficients["left"](grid))) / bound1)
 
     # weak identity against 20 seeded compactly supported test functions
@@ -186,16 +185,16 @@ def test_criterion_5_local_dbar_inverse():
         dphi = phi_fn.derivative()
         for p, psi in ((0, psi0), (1, psi1)):
             sign = -1.0 if p == 0 else 1.0
-            lhs = integrate_lower_tail(lambda x: sign * np.asarray(omega_fn(x)) * np.asarray(phi_fn(x)), 0.0, RULE)
+            lhs = integrate_lower_tail(lambda x: sign * np.asarray(omega_fn(x)) * np.asarray(phi_fn(x)), 0.0)
             rhs = integrate_lower_tail(
-                lambda x: np.asarray(psi.coefficients["left"](x)) * np.asarray(dphi(x)), 0.0, RULE
+                lambda x: np.asarray(psi.coefficients["left"](x)) * np.asarray(dphi(x)), 0.0
             )
             worst_weak = max(worst_weak, abs(lhs - rhs))
 
     # uniqueness up to an additive constant for p = 0
     sample = grid[-40:]
     ours = np.asarray(psi0.coefficients["left"](sample))
-    alternative = np.array([-integrate_finite(omega_fn, float(x), 0.0, RULE) + 5.0 for x in sample])
+    alternative = np.array([-integrate_finite(omega_fn, float(x), 0.0) + 5.0 for x in sample])
     unique_residual = np.max(np.abs((ours - ours.mean()) - (alternative - alternative.mean())))
 
     ok = ratio0 <= 1 + 1e-8 and ratio1 <= 1 + 1e-8 and worst_weak <= 1e-8 and unique_residual <= 1e-8
@@ -216,21 +215,20 @@ def test_criterion_6_theta_correspondence():
         worst = max(
             worst,
             compare_tropical_complex(
-                EdgeFunction.from_expression(poly, domain=(-math.inf, math.inf)), (-1.0, 1.5), RULE
+                EdgeFunction.from_expression(poly, domain=(-math.inf, math.inf)), (-1.0, 1.5)
             )["residual"],
             compare_tropical_complex(
                 EdgeFunction.from_expression(f"{poly}*exp(2*x)/(1+exp(2*x))^2", domain=(-math.inf, math.inf)),
                 (-math.inf, 0.5),
-                RULE,
             )["residual"],
         )
     tp1 = curves.projective_line()
     fs = fubini_study_form(tp1)
     from trophodge.metric import integrate
 
-    mass = integrate(tp1, fs, RULE)
+    mass = integrate(tp1, fs)
     g = KahlerForm(tp1, dict(fs.coefficients))
-    kahler_ok = validate_kahler(tp1, g, RULE).passed
+    kahler_ok = validate_kahler(tp1, g).passed
     regular = is_regular(fs, tp1).passed
     ok = worst <= 1e-6 and abs(mass - 1.0) <= 1e-8 and kahler_ok and not regular
     verdict(

@@ -1,0 +1,36 @@
+"""The benchmark's tracer finds every name it wraps and puts it back.
+
+``bench/tracing.py`` replaces library functions by module attribute in a
+traced run.  A refactor that drops or renames one of them breaks only
+traced benchmark runs, so this test wraps and unwraps them here.
+"""
+
+import importlib
+from pathlib import Path
+
+from trophodge import curves
+from trophodge.metric import KahlerForm, inner_product
+from trophodge.superform import Superform
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_wraps_and_restores_every_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    originals = {(m, a): getattr(importlib.import_module(m), a) for m, a, _ in tracing.WRAPPED}
+    tracer = tracing.Tracer()
+    tracer.wrap()
+    try:
+        for (module, attr), original in originals.items():
+            assert getattr(importlib.import_module(module), attr) is not original
+        # callers reach integrate through the module global, so the span shows
+        tracer.enabled = True
+        tri = curves.triangle()
+        one = Superform.on_curve(tri, (0, 0), {"ab": 1, "bc": 1, "ca": 1})
+        inner_product(one, one, KahlerForm.constant(tri))
+        assert [s["name"] for s in tracer.spans] == ["metric.integrate"]
+    finally:
+        tracer.unwrap()
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(module), attr) is original

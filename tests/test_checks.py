@@ -18,9 +18,6 @@ from trophodge.checks import (
 )
 from trophodge.metric import KahlerForm, integrate
 from trophodge.superform import Superform, d_second, is_regular, wedge
-from trophodge.quadrature import QuadratureRule
-
-RULE = QuadratureRule()
 
 
 def test_regular_test_forms_pass_regularity():
@@ -57,18 +54,18 @@ def test_check_stokes_passes_and_rejects_non_regular():
     tri = curves.triangle()
     g = KahlerForm.constant(tri, 1.0)
     forms = regular_test_forms(tri, (1, 0), 5, seed=1)
-    report = check_stokes(tri, forms, g, RULE, seed=1)
+    report = check_stokes(tri, forms, g, seed=1)
     assert report.passed
     bad = Superform.on_curve(tri, (1, 0), {"ab": 1})  # unbalanced constant flow
     with pytest.raises(ValueError, match="non-regular"):
-        check_stokes(tri, [bad], g, RULE)
+        check_stokes(tri, [bad], g)
 
 
 def test_check_stokes_residual_is_quadrature_level_on_tails():
     tp1 = curves.projective_line()
     g = KahlerForm.fubini_study(tp1)
     forms = regular_test_forms(tp1, (1, 0), 20, seed=3)
-    report = check_stokes(tp1, forms, g, RULE, seed=3)
+    report = check_stokes(tp1, forms, g, seed=3)
     assert report.passed
     assert max(c.residual for c in report.checks) <= 1e-7
 
@@ -101,12 +98,12 @@ def test_check_integration_by_parts_closed_form_pair():
         (1, 0),
         {"mid": "x", "legU": f"-2*{decay}", "legV": "0"},
     )
-    lhs = integrate(path, wedge(d_second(psi), phi), RULE)
-    rhs = integrate(path, wedge(psi, d_second(phi)), RULE)
+    lhs = integrate(path, wedge(d_second(psi), phi))
+    rhs = integrate(path, wedge(psi, d_second(phi)))
     # -int psi' phi = +1/2 on mid; -int psi phi' = -1/2 + 1 on mid + legU
     assert lhs == pytest.approx(0.5, abs=1e-9)
     assert rhs == pytest.approx(-0.5, abs=1e-9)
-    report = check_integration_by_parts(path, psi, phi, g, RULE)
+    report = check_integration_by_parts(path, psi, phi, g)
     assert report.passed
     assert report.checks[0].residual <= 1e-9
 
@@ -118,7 +115,7 @@ def test_energy_pairs_satisfy_integration_by_parts():
         worst = 0.0
         for seed in range(5):
             psi, phi = energy_test_pair(curve, seed)
-            report = check_integration_by_parts(curve, psi, phi, g, RULE)
+            report = check_integration_by_parts(curve, psi, phi, g)
             worst = max(worst, report.checks[0].residual)
         assert worst <= 1e-7
 
@@ -126,7 +123,7 @@ def test_energy_pairs_satisfy_integration_by_parts():
 def test_check_hodge_theorem_on_theta():
     theta = curves.theta_graph()
     g = KahlerForm.constant(theta, 1.0)
-    report = check_hodge_theorem(theta, g, h_list=(1 / 16, 1 / 32), rule=RULE)
+    report = check_hodge_theorem(theta, g, h_list=(1 / 16, 1 / 32))
     assert report.passed
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["hodge-dimension-agreement"].residual == 0.0
@@ -136,7 +133,7 @@ def test_check_hodge_theorem_on_theta():
 def test_check_star_identities_with_fubini_study_tails():
     legs = curves.triangle_with_legs()
     g = KahlerForm.from_spec(legs, None)
-    report = check_star_identities(legs, g, RULE)
+    report = check_star_identities(legs, g)
     assert report.passed
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["star-involution"].residual == 0.0
@@ -145,15 +142,15 @@ def test_check_star_identities_with_fubini_study_tails():
 
 
 def test_check_theta_correspondence():
-    report = check_theta_correspondence(RULE)
+    report = check_theta_correspondence()
     assert report.passed
 
 
 def test_run_verification_report_is_deterministic():
     tri = curves.triangle()
     g = KahlerForm.constant(tri, 1.0)
-    a = run_verification(tri, g, RULE, seed=0, h_list=(1 / 8, 1 / 16), form_count=4)
-    b = run_verification(tri, g, RULE, seed=0, h_list=(1 / 8, 1 / 16), form_count=4)
+    a = run_verification(tri, g, seed=0, h_list=(1 / 8, 1 / 16), form_count=4)
+    b = run_verification(tri, g, seed=0, h_list=(1 / 8, 1 / 16), form_count=4)
     assert a.passed and b.passed
     assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(b.as_dict(), sort_keys=True)
     # timings are zeroed in the serialized report unless asked for
@@ -174,7 +171,7 @@ def test_report_serialization_shape():
 def test_verification_check_ids_are_unique():
     tri = curves.triangle()
     g = KahlerForm.constant(tri, 1.0)
-    report = run_verification(tri, g, RULE, seed=0, h_list=(1 / 8,), form_count=2)
+    report = run_verification(tri, g, seed=0, h_list=(1 / 8,), form_count=2)
     ids = [c.check_id for c in report.checks]
     assert len(ids) == len(set(ids))
     assert report.passed

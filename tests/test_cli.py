@@ -197,6 +197,15 @@ def _triangle_doc(kahler=None, **first_edge):
     return doc
 
 
+# a bi-infinite edge is split into axis:left and axis:right, so the key
+# "axis" names no edge of the parsed curve
+SPLIT_AXIS_NEGATIVE = {
+    "vertices": ["L", "R"],
+    "edges": [{"id": "axis", "tail": "L", "head": "R", "length": "inf"}],
+    "kahler": {"axis": {"kind": "expr", "formula": NEGATIVE_WEIGHT}},
+}
+
+
 @pytest.mark.parametrize(
     "doc, kind",
     [
@@ -204,11 +213,14 @@ def _triangle_doc(kahler=None, **first_edge):
         (_triangle_doc(kahler={"ab": 3}), "KahlerError"),
         (_triangle_doc(kahler={"ab": {"kind": "expr"}}), "KahlerError"),
         (_triangle_doc(kahler={"ab": {"kind": "constant"}}), "KahlerError"),
+        (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "x^0^-1"}}), "ExpressionError"),
+        (_triangle_doc(kahler={"abx": {"kind": "constant", "value": -5}}), "KahlerError"),
+        (SPLIT_AXIS_NEGATIVE, "KahlerError"),
         (_triangle_doc(id=7), "CurveError"),
         (_triangle_doc(tail=["A"]), "CurveError"),
     ],
     ids=["kahler-list", "kahler-entry-number", "expr-no-formula", "constant-no-value",
-         "numeric-id", "list-tail"],
+         "zero-to-negative-power", "key-names-no-edge", "key-names-split-edge", "numeric-id", "list-tail"],
 )
 def test_malformed_documents_give_typed_errors(tmp_path, capsys, doc, kind):
     path = tmp_path / "malformed.json"

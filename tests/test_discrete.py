@@ -26,10 +26,9 @@ from trophodge.discrete import (
 )
 from trophodge.exact import nullspace
 from trophodge.metric import KahlerForm
-from trophodge.quadrature import QuadratureRule, integrate_finite, integrate_lower_tail
+from trophodge.quadrature import integrate_finite, integrate_lower_tail
 from trophodge.superform import Bidegree, EdgeFunction, Superform, is_regular
 
-RULE = QuadratureRule()
 LN2 = math.log(2.0)
 
 
@@ -371,11 +370,11 @@ def test_dbar_tail_p0_step_example():
         return np.where(x >= -1.0, 1.0, 0.0)
 
     omega = Superform(Bidegree(0, 1), {"left": EdgeFunction(step, None, None, (-math.inf, 0.0))})
-    psi = solve_dbar_local(omega, g, RULE, TailNeighborhood("left", 0.0))
+    psi = solve_dbar_local(omega, g, TailNeighborhood("left", 0.0))
     xs = np.array([-3.0, -1.0, -0.5, -0.25])
     assert np.allclose(psi.coefficients["left"](xs), [-1.0, -1.0, -0.5, -0.25], atol=1e-10)
     # pointwise estimate |psi(x)| <= sqrt(a - x) * ||omega||
-    norm = math.sqrt(integrate_finite(lambda x: step(x) ** 2, -1.0, 0.0, RULE))
+    norm = math.sqrt(integrate_finite(lambda x: step(x) ** 2, -1.0, 0.0))
     bounds = np.sqrt(-xs) * norm
     assert np.all(np.abs(np.asarray(psi.coefficients["left"](xs))) <= bounds * (1 + 1e-8))
 
@@ -387,7 +386,7 @@ def test_dbar_tail_p1_fubini_study_example():
         Bidegree(1, 1),
         {"left": EdgeFunction.from_expression("2*exp(2*x)/(1+exp(2*x))^2", domain=(-math.inf, 0.0))},
     )
-    psi = solve_dbar_local(omega, g, RULE, TailNeighborhood("left", 0.0))
+    psi = solve_dbar_local(omega, g, TailNeighborhood("left", 0.0))
     xs = -np.linspace(0.05, 10.0, 41)
     expected = -np.exp(2 * xs) / (1 + np.exp(2 * xs))
     assert np.allclose(psi.coefficients["left"](xs), expected, atol=1e-9)
@@ -397,7 +396,7 @@ def test_dbar_zero_input():
     tp1 = curves.projective_line()
     g = KahlerForm.fubini_study(tp1)
     omega = Superform(Bidegree(1, 1), {"left": EdgeFunction.zero((-math.inf, 0.0))})
-    psi = solve_dbar_local(omega, g, RULE, TailNeighborhood("left", 0.0))
+    psi = solve_dbar_local(omega, g, TailNeighborhood("left", 0.0))
     assert np.allclose(psi.coefficients["left"](-np.linspace(0.1, 5, 7)), 0.0)
 
 
@@ -409,25 +408,25 @@ def test_dbar_pointwise_estimates_on_quadrature_grid():
     xs = -np.linspace(0.01, 24.0, 97)
     # p = 0: |psi(x)| <= sqrt(a-x) ||omega||, norm in the (0,1) product
     omega0 = Superform(Bidegree(0, 1), {"left": omega_fn})
-    psi0 = solve_dbar_local(omega0, g, RULE, TailNeighborhood("left", 0.0))
-    norm0 = math.sqrt(integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2, 0.0, RULE))
+    psi0 = solve_dbar_local(omega0, g, TailNeighborhood("left", 0.0))
+    norm0 = math.sqrt(integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2, 0.0))
     vals0 = np.abs(np.asarray(psi0.coefficients["left"](xs)))
     assert np.all(vals0 <= np.sqrt(-xs) * norm0 * (1 + 1e-8))
     # p = 1: |psi(x)| <= sqrt(int_(-inf)^x g) ||omega||, norm weighted by 1/g
     omega1 = Superform(Bidegree(1, 1), {"left": omega_fn})
-    psi1 = solve_dbar_local(omega1, g, RULE, TailNeighborhood("left", 0.0))
+    psi1 = solve_dbar_local(omega1, g, TailNeighborhood("left", 0.0))
     gfn = g.weights["left"]
     norm1 = math.sqrt(
-        integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2 / np.asarray(gfn(x)), 0.0, RULE)
+        integrate_lower_tail(lambda x: np.asarray(omega_fn(x)) ** 2 / np.asarray(gfn(x)), 0.0)
     )
-    bounds = np.array([math.sqrt(integrate_lower_tail(gfn, float(x), RULE)) for x in xs]) * norm1
+    bounds = np.array([math.sqrt(integrate_lower_tail(gfn, float(x))) for x in xs]) * norm1
     vals1 = np.abs(np.asarray(psi1.coefficients["left"](xs)))
     assert np.all(vals1 <= bounds * (1 + 1e-8))
     # operator norm bound ||T_U omega|| <= C ||omega|| with C^2 = int (a-t) g dt
     psi_norm = math.sqrt(
-        integrate_lower_tail(lambda x: np.asarray(psi1.coefficients["left"](x)) ** 2, 0.0, RULE)
+        integrate_lower_tail(lambda x: np.asarray(psi1.coefficients["left"](x)) ** 2, 0.0)
     )
-    C = math.sqrt(integrate_lower_tail(lambda x: -np.asarray(x) * np.asarray(gfn(x)), 0.0, RULE))
+    C = math.sqrt(integrate_lower_tail(lambda x: -np.asarray(x) * np.asarray(gfn(x)), 0.0))
     assert psi_norm <= C * norm1 * (1 + 1e-8)
 
 
@@ -446,13 +445,13 @@ def test_dbar_weak_identity_against_test_functions():
         dphi = phi_fn.derivative()
         for p in (0, 1):
             omega = Superform(Bidegree(p, 1), {"left": omega_fn})
-            psi = solve_dbar_local(omega, g, RULE, TailNeighborhood("left", 0.0))
+            psi = solve_dbar_local(omega, g, TailNeighborhood("left", 0.0))
             pairing_sign = -1.0 if p == 0 else 1.0
             lhs = integrate_lower_tail(
-                lambda x: pairing_sign * np.asarray(omega_fn(x)) * np.asarray(phi_fn(x)), 0.0, RULE
+                lambda x: pairing_sign * np.asarray(omega_fn(x)) * np.asarray(phi_fn(x)), 0.0
             )
             rhs = integrate_lower_tail(
-                lambda x: np.asarray(psi.coefficients["left"](x)) * np.asarray(dphi(x)), 0.0, RULE
+                lambda x: np.asarray(psi.coefficients["left"](x)) * np.asarray(dphi(x)), 0.0
             )
             worst[p] = max(worst[p], abs(lhs - rhs))
     assert worst[0] <= 1e-8
@@ -467,22 +466,22 @@ def test_dbar_uniqueness():
     xs = -np.linspace(0.05, 12.0, 23)
     # p = 1: any antiderivative construction must agree exactly
     psi1 = solve_dbar_local(
-        Superform(Bidegree(1, 1), {"left": omega_fn}), g, RULE, TailNeighborhood("left", 0.0)
+        Superform(Bidegree(1, 1), {"left": omega_fn}), g, TailNeighborhood("left", 0.0)
     )
     alt = np.array(
         [
-            -(integrate_lower_tail(omega_fn, -6.0, RULE) + integrate_finite(omega_fn, -6.0, float(x), RULE))
+            -(integrate_lower_tail(omega_fn, -6.0) + integrate_finite(omega_fn, -6.0, float(x)))
             if x > -6
-            else -integrate_lower_tail(omega_fn, float(x), RULE)
+            else -integrate_lower_tail(omega_fn, float(x))
             for x in xs
         ]
     )
     assert np.max(np.abs(alt - np.asarray(psi1.coefficients["left"](xs)))) <= 1e-8
     # p = 0: answers agree after removing the mean (free additive constant)
     psi0 = solve_dbar_local(
-        Superform(Bidegree(0, 1), {"left": omega_fn}), g, RULE, TailNeighborhood("left", 0.0)
+        Superform(Bidegree(0, 1), {"left": omega_fn}), g, TailNeighborhood("left", 0.0)
     )
-    shifted = np.array([-integrate_finite(omega_fn, float(x), 0.0, RULE) + 0.37 for x in xs])
+    shifted = np.array([-integrate_finite(omega_fn, float(x), 0.0) + 0.37 for x in xs])
     ours = np.asarray(psi0.coefficients["left"](xs))
     assert np.max(np.abs((shifted - shifted.mean()) - (ours - ours.mean()))) <= 1e-8
 
@@ -491,7 +490,7 @@ def test_dbar_vertex_star_mixed_ends():
     tri = curves.triangle()
     g = KahlerForm.constant(tri, 1.0)
     omega = Superform.on_curve(tri, (1, 1), {"ab": "1+x", "bc": "x^2", "ca": "2"})
-    psi = solve_dbar_local(omega, g, RULE, StarNeighborhood("A", 0.5))
+    psi = solve_dbar_local(omega, g, StarNeighborhood("A", 0.5))
     # Kirchhoff holds exactly at the vertex: head end of ca plus tail end of ab
     head_val = float(psi.coefficients["ca"](0.0))
     tail_val = -float(psi.coefficients["ab"](-1.0))
@@ -508,7 +507,7 @@ def test_dbar_vertex_star_continuity_for_functions():
     tri = curves.triangle()
     g = KahlerForm.constant(tri, 1.0)
     omega = Superform.on_curve(tri, (0, 1), {"ab": "1", "bc": "x", "ca": "-2"})
-    psi = solve_dbar_local(omega, g, RULE, StarNeighborhood("B", 0.25))
+    psi = solve_dbar_local(omega, g, StarNeighborhood("B", 0.25))
     # both end values vanish at the vertex, so continuity holds exactly
     assert float(psi.coefficients["ab"](0.0)) == 0.0  # head end at B
     assert float(psi.coefficients["bc"](-1.0)) == 0.0  # tail end at B
@@ -518,10 +517,10 @@ def test_dbar_rejects_wrong_bidegree_and_bad_reach():
     tri = curves.triangle()
     g = KahlerForm.constant(tri, 1.0)
     with pytest.raises(ValueError, match="bidegree"):
-        solve_dbar_local(Superform.on_curve(tri, (1, 0), {"ab": 1}), g, RULE, StarNeighborhood("A", 0.5))
+        solve_dbar_local(Superform.on_curve(tri, (1, 0), {"ab": 1}), g, StarNeighborhood("A", 0.5))
     omega = Superform.on_curve(tri, (1, 1), {"ab": 1})
     with pytest.raises(ValueError, match="reach"):
-        solve_dbar_local(omega, g, RULE, StarNeighborhood("A", 2.0))
+        solve_dbar_local(omega, g, StarNeighborhood("A", 2.0))
 
 
 def test_kernel_spans_match_exact_bases_at_fine_mesh():

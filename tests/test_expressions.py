@@ -35,6 +35,7 @@ def test_unknown_identifier_reports_offset():
         ("-x^2", 2.0, -4.0),
         ("2^-1", 0.0, 0.5),
         ("x^2^3", 2.0, 256.0),
+        ("x^1024", 1.0, 1.0),
         ("exp(0)", 5.0, 1.0),
         ("1e2+0.5", 0.0, 100.5),
     ],
@@ -54,12 +55,20 @@ def test_fractional_exponent_rejected():
         parse_expression("x^1.5")
 
 
+@pytest.mark.parametrize("source", ["x^2^2^2^2^2^2", "x^2^-1", "x^0^-1", "x^1025", "x^" + "9" * 5000],
+                         ids=["tower", "half", "zero-to-negative", "1025", "5000-digits"])
+def test_exponent_must_be_a_bounded_integer(source):
+    with pytest.raises(ExpressionError):
+        parse_expression(source)
+
+
 def test_round_trip_through_printer():
     sources = [
         "2*exp(2*x)/(1+exp(2*x))^2",
         "-x^3+4*x-1/(x-2)",
         "exp(-(x^2))",
         "1.5*x^4-2.25",
+        "x^-1^-3",
     ]
     xs = np.linspace(-3, 3, 100)
     for source in sources:

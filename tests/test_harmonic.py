@@ -8,10 +8,7 @@ from trophodge.curve import Edge, TropicalCurve, genus, incidence_matrix, revers
 from trophodge.exact import integerize, nullspace, rank, rref
 from trophodge.harmonic import betti, cech_cohomology, harmonic_basis
 from trophodge.metric import KahlerForm, codifferential, hodge_star
-from trophodge.quadrature import QuadratureRule
 from trophodge.superform import d_second, is_regular
-
-RULE = QuadratureRule()
 
 
 # -- exact linear algebra ------------------------------------------------

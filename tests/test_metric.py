@@ -15,10 +15,8 @@ from trophodge.metric import (
     laplacian,
     validate_kahler,
 )
-from trophodge.quadrature import QuadratureRule
 from trophodge.superform import Superform, d_second, wedge
 
-RULE = QuadratureRule()
 TRI = curves.triangle()
 TP1 = curves.projective_line()
 G1 = KahlerForm.constant(TRI, 1.0)
@@ -37,13 +35,13 @@ def coeff(form, edge, xs):
 
 
 def test_constant_weight_on_triangle_passes_with_mass_three():
-    report = validate_kahler(TRI, G1, RULE)
+    report = validate_kahler(TRI, G1)
     assert report.passed
     assert report.total_mass == pytest.approx(3.0, abs=1e-12)
 
 
 def test_fubini_study_weight_on_infinite_edge():
-    report = validate_kahler(TP1, GFS, RULE)
+    report = validate_kahler(TP1, GFS)
     assert report.passed
     # each edge holds half of the total unit mass
     assert report.edge_mass["left"] == pytest.approx(0.5, abs=1e-10)
@@ -52,7 +50,7 @@ def test_fubini_study_weight_on_infinite_edge():
 
 def test_constant_weight_on_infinite_edge_diverges():
     bad = KahlerForm.constant(TP1, 1.0)
-    report = validate_kahler(TP1, bad, RULE)
+    report = validate_kahler(TP1, bad)
     assert not report.passed
     assert any("mass" == name and not ok for _, name, ok, _ in report.entries)
     with pytest.raises(KahlerError):
@@ -62,9 +60,17 @@ def test_constant_weight_on_infinite_edge_diverges():
 
 def test_nonpositive_weight_detected():
     shifted = KahlerForm.from_spec(TRI, {"ab": {"kind": "expr", "formula": "x+0.25"}})
-    report = validate_kahler(TRI, shifted, RULE)
+    report = validate_kahler(TRI, shifted)
     assert not report.passed
     assert any(name == "positivity" and not ok for _, name, ok, _ in report.entries)
+
+
+def test_kahler_key_of_a_split_edge_names_its_halves():
+    # the projective line is the bi-infinite edge "axis" split at its midpoint
+    with pytest.raises(KahlerError, match="'left' and 'right'"):
+        KahlerForm.from_spec(TP1, {"axis": {"kind": "fubini-study"}})
+    with pytest.raises(KahlerError, match="names no edge"):
+        KahlerForm.from_spec(TRI, {"abx": {"kind": "constant", "value": 2.0}})
 
 
 # -- tropical integration ---------------------------------------------
@@ -73,22 +79,22 @@ def test_nonpositive_weight_detected():
 def test_integrate_constant_on_finite_edge():
     curve = curves.triangle(2.0)
     form = Superform.on_curve(curve, (1, 1), {"ab": 1})
-    assert integrate(curve, form, RULE) == pytest.approx(2.0, abs=1e-12)
+    assert integrate(curve, form) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_integrate_fubini_study_over_projective_line():
     form = Superform.on_curve(TP1, (1, 1), {"left": FUBINI_STUDY_SOURCE, "right": FUBINI_STUDY_SOURCE})
-    assert integrate(TP1, form, RULE) == pytest.approx(1.0, abs=1e-9)
+    assert integrate(TP1, form) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_zero_form():
     form = Superform.on_curve(TRI, (1, 1), {})
-    assert integrate(TRI, form, RULE) == 0.0
+    assert integrate(TRI, form) == 0.0
 
 
 def test_integrate_rejects_wrong_bidegree():
     with pytest.raises(ValueError, match="bidegree"):
-        integrate(TRI, Superform.on_curve(TRI, (1, 0), {"ab": 1}), RULE)
+        integrate(TRI, Superform.on_curve(TRI, (1, 0), {"ab": 1}))
 
 
 # -- Hodge star ---------------------------------------------------------
@@ -126,37 +132,37 @@ def test_star_involution_sign_is_exact(bidegree):
 def test_inner_product_of_d_prime_x_is_total_length():
     phi = Superform.on_curve(TRI, (1, 0), {"ab": 1, "bc": 1, "ca": 1})
     g5 = KahlerForm.from_spec(TRI, {"ab": {"kind": "constant", "value": 5.0}})
-    assert inner_product(phi, phi, g5, RULE) == pytest.approx(3.0, abs=1e-11)
+    assert inner_product(phi, phi, g5) == pytest.approx(3.0, abs=1e-11)
 
 
 def test_inner_product_weights_by_bidegree():
     g2 = KahlerForm.constant(TRI, 2.0)
     one = Superform.on_curve(TRI, (0, 0), {"ab": 1, "bc": 1, "ca": 1})
     # (1,1) with itself has weight 1/g, (0,0) has weight g
-    assert inner_product(one, one, g2, RULE) == pytest.approx(6.0, abs=1e-11)
+    assert inner_product(one, one, g2) == pytest.approx(6.0, abs=1e-11)
     gg = hodge_star(one, g2)
-    assert inner_product(gg, gg, g2, RULE) == pytest.approx(6.0, abs=1e-11)
+    assert inner_product(gg, gg, g2) == pytest.approx(6.0, abs=1e-11)
 
 
 def test_inner_product_of_weight_equals_total_mass():
-    report = validate_kahler(TP1, GFS, RULE)
+    report = validate_kahler(TP1, GFS)
     gg = GFS.as_superform()
-    assert inner_product(gg, gg, GFS, RULE) == pytest.approx(report.total_mass, abs=1e-9)
+    assert inner_product(gg, gg, GFS) == pytest.approx(report.total_mass, abs=1e-9)
 
 
 def test_inner_product_symmetric_positive():
     a = Superform.on_curve(TRI, (0, 1), {"ab": "x", "bc": "1", "ca": "x^2"})
     b = Superform.on_curve(TRI, (0, 1), {"ab": "1-x", "bc": "x", "ca": "2"})
-    assert inner_product(a, b, G1, RULE) == pytest.approx(inner_product(b, a, G1, RULE), abs=1e-12)
-    assert inner_product(a, a, G1, RULE) > 0
+    assert inner_product(a, b, G1) == pytest.approx(inner_product(b, a, G1), abs=1e-12)
+    assert inner_product(a, a, G1) > 0
 
 
 def test_star_isometry_on_polynomials():
     a = Superform.on_curve(TRI, (1, 0), {"ab": "x^2", "bc": "1+x", "ca": "x"})
     b = Superform.on_curve(TRI, (1, 0), {"ab": "1", "bc": "x", "ca": "x^3"})
     g2 = KahlerForm.from_spec(TRI, {"bc": {"kind": "expr", "formula": "1+x^2"}})
-    lhs = inner_product(a, b, g2, RULE)
-    rhs = inner_product(hodge_star(a, g2), hodge_star(b, g2), g2, RULE)
+    lhs = inner_product(a, b, g2)
+    rhs = inner_product(hodge_star(a, g2), hodge_star(b, g2), g2)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -244,7 +250,7 @@ def test_stokes_for_regular_forms():
     from trophodge.superform import is_regular
 
     assert is_regular(phi, theta).passed
-    assert integrate(theta, d_second(phi), RULE) == pytest.approx(0.0, abs=1e-10)
+    assert integrate(theta, d_second(phi)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_wedge_pairing_against_star_matches_coordinate_weights():
@@ -259,4 +265,4 @@ def test_wedge_pairing_against_star_matches_coordinate_weights():
         )
         for e in ("ab", "bc", "ca")
     )
-    assert inner_product(a, b, g, RULE) == pytest.approx(float(direct), abs=1e-7)
+    assert inner_product(a, b, g) == pytest.approx(float(direct), abs=1e-7)

@@ -5,7 +5,6 @@ import pytest
 
 from trophodge import curves
 from trophodge.metric import KahlerForm, validate_kahler
-from trophodge.quadrature import QuadratureRule
 from trophodge.superform import EdgeFunction, evaluate, is_regular
 from trophodge.theta import (
     AnnulusDomain,
@@ -15,7 +14,6 @@ from trophodge.theta import (
     tropical_interval_integral,
 )
 
-RULE = QuadratureRule()
 DOM = (-math.inf, math.inf)
 
 
@@ -30,36 +28,36 @@ def test_annulus_domain_validation():
 
 
 def test_constant_over_unit_annulus():
-    assert annulus_integral(fn("1"), AnnulusDomain(0.0, 1.0), RULE) == pytest.approx(1.0, abs=1e-9)
+    assert annulus_integral(fn("1"), AnnulusDomain(0.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fubini_study_over_punctured_disk():
     # the mass of the unit disk in the Fubini-Study metric is 1/2
-    value = annulus_integral(fn("2*exp(2*x)/(1+exp(2*x))^2"), AnnulusDomain(-math.inf, 0.0), RULE)
+    value = annulus_integral(fn("2*exp(2*x)/(1+exp(2*x))^2"), AnnulusDomain(-math.inf, 0.0))
     assert value == pytest.approx(0.5, abs=1e-7)
 
 
 def test_vanishing_width_limit():
-    value = annulus_integral(fn("1"), AnnulusDomain(0.0, 1e-9), RULE)
+    value = annulus_integral(fn("1"), AnnulusDomain(0.0, 1e-9))
     assert abs(value) <= 1e-8
 
 
 def test_compare_polynomial_on_finite_interval():
-    result = compare_tropical_complex(fn("x^2"), (0.0, 1.0), RULE)
+    result = compare_tropical_complex(fn("x^2"), (0.0, 1.0))
     assert result["passed"]
     assert result["tropical"] == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert result["annulus"] == pytest.approx(1.0 / 3.0, abs=1e-7)
 
 
 def test_compare_fubini_study_on_whole_line():
-    result = compare_tropical_complex(fn("2*exp(2*x)/(1+exp(2*x))^2"), (-math.inf, math.inf), RULE)
+    result = compare_tropical_complex(fn("2*exp(2*x)/(1+exp(2*x))^2"), (-math.inf, math.inf))
     assert result["passed"]
     assert result["tropical"] == pytest.approx(1.0, abs=1e-8)
     assert result["annulus"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_compare_zero_form():
-    result = compare_tropical_complex(fn("0"), (0.0, 2.0), RULE)
+    result = compare_tropical_complex(fn("0"), (0.0, 2.0))
     assert result["tropical"] == 0.0 and result["annulus"] == 0.0
 
 
@@ -69,10 +67,10 @@ def test_generated_family_agreement():
     for _ in range(6):
         c = [float(v) for v in rng.uniform(-1, 1, 3)]
         source = f"({c[0]!r}+{c[1]!r}*x+{c[2]!r}*x^2)"
-        result = compare_tropical_complex(fn(source), (-1.0, 0.5), RULE)
+        result = compare_tropical_complex(fn(source), (-1.0, 0.5))
         worst = max(worst, result["residual"])
         decayed = f"{source}*exp(2*x)/(1+exp(2*x))^2"
-        result = compare_tropical_complex(fn(decayed), (-math.inf, 1.0), RULE)
+        result = compare_tropical_complex(fn(decayed), (-math.inf, 1.0))
         worst = max(worst, result["residual"])
     assert worst <= 1e-6
 
@@ -82,7 +80,7 @@ def test_fubini_study_form_on_projective_line():
     form = fubini_study_form(tp1)
     assert evaluate(form, "left", 0.0) == pytest.approx(0.5)
     assert evaluate(form, "right", 0.0) == pytest.approx(0.5)
-    assert tropical_interval_integral(form.coefficients["left"], -math.inf, 0.0, RULE) == pytest.approx(
+    assert tropical_interval_integral(form.coefficients["left"], -math.inf, 0.0) == pytest.approx(
         0.5, abs=1e-9
     )
 
@@ -91,5 +89,5 @@ def test_fubini_study_is_kahler_but_not_regular():
     tp1 = curves.projective_line()
     form = fubini_study_form(tp1)
     g = KahlerForm(tp1, dict(form.coefficients))
-    assert validate_kahler(tp1, g, RULE).passed
+    assert validate_kahler(tp1, g).passed
     assert not is_regular(form, tp1).passed
