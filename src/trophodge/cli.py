@@ -156,3 +156,7 @@ def _dispatch(args) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

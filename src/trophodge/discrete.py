@@ -20,9 +20,11 @@ of freedom lies in at most one vertex's Kirchhoff row, with coefficient
 +1 (head end) or -1 (tail end), so the rows have disjoint supports and
 are independent.  Solving each row for its lowest DOF gives the basis
 in closed form; its entries are 0 and +-1, which floats hold exactly,
-and it is the basis reduced row-echelon form would give.  The kernel
-dimension is read off a spectral gap ratio with an explicit failure
-mode instead of a silent threshold.
+and it is the basis reduced row-echelon form would give.  One sparse
+eigensolver serves ``kernel`` and ``spectrum``: block inverse iteration
+with the spectral transformation (K + M)^{-1} M, certified by inertia
+counts.  The kernel dimension is read off a spectral gap ratio with an
+explicit failure mode instead of a silent threshold.
 """
 
 from __future__ import annotations
@@ -338,79 +340,137 @@ def _reduced_pencil(system: DiscreteSystem):
     return Z, A, B
 
 
-def _dense_eigensolve(A, B):
-    return scipy.linalg.eigh(A.toarray(), B.toarray())
+GAP_RATIO_MIN = 1000.0  # a kernel ends where the spectrum jumps by this factor
+_RATE = 0.25  # a wide enough block shrinks the wanted residuals this much per sweep
+_STALL = 1e-6  # relative residual above which a stall means too narrow a block
+_CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
+_MAX_SWEEPS = 300
+_MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
 
 
-_DENSE_LIMIT = 400
-_MACHINE_EPS = float(np.finfo(float).eps)
+def _factor(A, B, shift: float):
+    """SuperLU factor of A - shift B and the number of eigenvalues below shift.
 
-
-def _probe_small_eigenvalues(A, B, want: int):
-    """Smallest ``want`` eigenvalues of the reduced pencil.
-
-    Small systems go through the dense solver.  Large ones use
-    shift-invert Lanczos at sigma = -1: the factorization of A + B makes
-    the accuracy of the returned small eigenvalues scale with the shift,
-    not with the largest stiffness entry, which matters when a truncated
-    weight makes 1/g enormous near the cut.  The start vector is fixed,
-    so reruns are bit-identical.
+    Symmetric ordering with diagonal pivots makes U = D L^T, so by
+    Sylvester's law of inertia the negative pivots count the eigenvalues.
     """
-    nred = A.shape[0]
-    if nred <= _DENSE_LIMIT or want > nred // 2:
-        lam, vec = _dense_eigensolve(A, B)
-        return lam[:want], vec[:, :want], float(np.abs(lam).max(initial=0.0))
-    import scipy.sparse.linalg as spla
+    import scipy.sparse.linalg as spla  # lazily: it would add to every import of the package
 
-    v0 = np.random.default_rng(0).standard_normal(nred)
-    lam, vec = spla.eigsh(A, k=want, M=B, sigma=-1.0, which="LM", v0=v0, tol=0)
-    order = np.argsort(lam)
-    return lam[order], vec[:, order], float(np.abs(lam).max(initial=0.0))
+    try:
+        lu = spla.splu((A - shift * B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise AmbiguousKernelError(f"A - {shift:.6g} B cannot be factored: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise AmbiguousKernelError(f"A - {shift:.6g} B needed off-diagonal pivots, so its inertia is unknown")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def kernel(system: DiscreteSystem, gap_ratio_min: float = 1000.0) -> SpectralResult:
+def _lowest(A, B, k: int):
+    """The k lowest eigenpairs of A x = lambda B x, certified complete.
+
+    Block inverse iteration on (A + B)^{-1} B, the spectral transformation
+    of Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start,
+    with a Rayleigh-Ritz step each sweep.  Each Ritz value is recomputed
+    as the Rayleigh quotient of its vector, which stays accurate when the
+    block also spans huge eigenvalues.  A Ritz value theta lies within
+    rho = sqrt((1 + theta) r^T (A + B)^{-1} r), r = A x - theta B x, of
+    an eigenvalue to first order.  The block doubles while the wanted
+    pairs would converge slower than _RATE per sweep, or their largest
+    rho / (1 + theta) stops halving above _STALL; a stall below it ends
+    the sweeps.  The inertia just above the wanted Ritz values must then
+    count them (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15,
+    1994).  Ritz values bound eigenvalues from above, so a larger count
+    means missed eigenvalues, which become wanted.  Returns the certified
+    Ritz values in ascending order (k or more: a cluster is never split),
+    their B-orthonormal vectors and their largest rho.
+    """
+    n = A.shape[0]
+    lu, _ = _factor(A, B, -1.0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n, min(n, k + 4)))
+    previous = math.inf
+    for _ in range(_MAX_SWEEPS):
+        width = X.shape[1]
+        Q = scipy.linalg.qr(X, mode="economic", overwrite_a=True, check_finite=False)[0]
+        X = Q @ scipy.linalg.eigh(Q.T @ (A @ Q), Q.T @ (B @ Q), check_finite=False)[1]
+        AX, BX = A @ X, B @ X
+        theta = np.einsum("ij,ij->j", X, AX) / np.einsum("ij,ij->j", X, BX)
+        nu = 1.0 + theta
+        Y = lu.solve(BX)
+        rho = np.sqrt(nu * np.maximum(np.einsum("ij,ij->j", AX - BX * theta, X - Y * nu), 0.0))
+        rho += np.finfo(float).eps * (1.0 + np.abs(theta))  # no Ritz value is known better than rounding
+        residual = float(np.max(rho[:k] / nu[:k]))
+        stalled, previous = residual >= previous / 2, residual
+        grow = width < n and (nu[k - 1] > _RATE * nu[-1] or stalled and residual > _STALL)
+        if stalled and not grow:
+            if width == n:  # the block is the whole space
+                k = width
+                break
+            apart = np.diff(theta) > rho[1:] + rho[:-1] + _CLUSTER * nu[1:]
+            later = np.flatnonzero(apart[k - 1:])  # Ritz values apart from theta[k - 1]
+            if later.size == 0:
+                grow = True
+            elif later[0] > 0:  # a cluster straddles the k-th value: want all of it
+                k, previous = k + int(later[0]), math.inf
+            else:
+                shift = 0.5 * (theta[k - 1] + theta[k])
+                count = _factor(A, B, shift)[1]
+                if count == k:
+                    break
+                if count < k:
+                    raise AmbiguousKernelError(f"{count} eigenvalues but {k} Ritz values lie below {shift:.6g}")
+                k, previous, grow = count, math.inf, count + 4 > width
+        X = Y
+        if grow:
+            wider = min(n, max(2 * width, k + 4))
+            if wider * n > _MAX_BLOCK_ENTRIES:
+                raise AmbiguousKernelError(f"no convergence with a block of {width} vectors")
+            X, previous = np.hstack([Y, rng.standard_normal((n, wider - width))]), math.inf
+    else:
+        raise AmbiguousKernelError(f"no convergence in {_MAX_SWEEPS} sweeps")
+    order = np.argsort(theta[:k])  # Rayleigh quotients may swap within a cluster
+    return theta[order], X[:, order], float(np.max(rho[:k]))
+
+
+def kernel(system: DiscreteSystem) -> SpectralResult:
     """Kernel of the reduced pencil, detected by a spectral gap ratio.
 
     The kernel dimension is the first d >= 0 such that
-    lambda_{d+1} / max(lambda_d, lambda_floor) >= gap_ratio_min, where
-    lambda_floor = max(1e-14 ||K||, 8 eps max|lambda|) combines the
-    stiffness scale with the eigensolver's own resolution.  If no d
-    qualifies the kernel is reported ambiguous, never silently chosen.
+    lambda_d / max(lambda_{d-1}, floor) >= GAP_RATIO_MIN, where the floor
+    is the eigensolver's own error bound, and the inertia at the middle
+    of that gap must count exactly d.  Otherwise the kernel is reported
+    ambiguous, never silently chosen.
     """
-    if gap_ratio_min <= 1.0:
-        raise ValueError("gap_ratio_min must exceed 1")
     Z, A, B = _reduced_pencil(system)
     nred = A.shape[0]
     if nred == 0:
         return SpectralResult(np.zeros(0), np.zeros((system.dof_map.n_dofs, 0)), 0, math.inf)
-    norm_k = float(np.max(np.abs(A).sum(axis=1))) if A.nnz else 0.0
-
-    want = min(nred, 8)
-    while True:
-        lam, vec, lam_scale = _probe_small_eigenvalues(A, B, want)
-        floor = max(1e-14 * norm_k, 8.0 * _MACHINE_EPS * lam_scale, 1e-300)
-        for d in range(lam.size):
-            denom = max(lam[d - 1] if d >= 1 else floor, floor)
-            ratio = lam[d] / denom
-            if ratio >= gap_ratio_min:
-                vectors = Z @ vec[:, :d]
-                shown = min(lam.size, d + 5)
-                return SpectralResult(lam[:shown].copy(), vectors, d, float(ratio))
-        if want >= nred:
-            raise AmbiguousKernelError(
-                f"no gap ratio >= {gap_ratio_min} found (eigenvalues start {lam[: min(6, lam.size)]})"
-            )
-        want = min(nred, want * 2)
+    k = min(nred, 6)
+    for _ in range(2):  # a second request takes in the gap and the five values shown after it
+        lam, vec, floor = _lowest(A, B, k)
+        below = np.maximum(np.concatenate(([floor], lam[:-1])), floor)
+        jumps = np.flatnonzero(lam >= GAP_RATIO_MIN * below)
+        d = int(jumps[0]) if jumps.size else lam.size
+        if d + 5 <= lam.size or lam.size == nred:
+            break
+        k = min(nred, d + 5)
+    if d == lam.size:
+        raise AmbiguousKernelError(f"no gap ratio >= {GAP_RATIO_MIN} found (eigenvalues start {lam[:6]})")
+    shift = math.sqrt(below[d] * lam[d])  # the geometric middle of the gap
+    if _factor(A, B, shift)[1] != d:
+        raise AmbiguousKernelError(f"the inertia at {shift:.6g}, inside the gap, does not count {d} eigenvalues")
+    return SpectralResult(lam[: d + 5].copy(), Z @ vec[:, :d], d, float(lam[d] / below[d]))
 
 
 def spectrum(system: DiscreteSystem, k: int) -> SpectralResult:
-    """k smallest eigenvalues with M-orthonormal eigenvectors (dense solve)."""
+    """k smallest eigenvalues with M-orthonormal eigenvectors, certified by an inertia count."""
     Z, A, B = _reduced_pencil(system)
-    if k > A.shape[0]:
+    if not 0 <= k <= A.shape[0]:
         raise ValueError(f"requested {k} eigenvalues from a system of dimension {A.shape[0]}")
     if k == 0:
         return SpectralResult(np.zeros(0), np.zeros((system.dof_map.n_dofs, 0)))
-    lam, vec = _dense_eigensolve(A, B)
+    lam, vec, _ = _lowest(A, B, k)
     return SpectralResult(lam[:k].copy(), Z @ vec[:, :k])
 
 

@@ -62,13 +62,11 @@ def test_criterion_1_dimension_theorem():
             "betti": betti(curve, 1),
         }
         mesh = build_mesh(curve, g, 1 / 64, 1e-4)
-        computations["discrete"] = kernel(
-            assemble(mesh, curve, g, (1, 0)), gap_ratio_min=1000.0
-        ).kernel_dimension
+        computations["discrete"] = kernel(assemble(mesh, curve, g, (1, 0))).kernel_dimension
         scalars = {
             "h00": harmonic_basis(curve, g, (0, 0)).dimension,
             "h11": harmonic_basis(curve, g, (1, 1)).dimension,
-            "discrete00": kernel(assemble(mesh, curve, g, (0, 0)), gap_ratio_min=1000.0).kernel_dimension,
+            "discrete00": kernel(assemble(mesh, curve, g, (0, 0))).kernel_dimension,
         }
         elapsed = time.perf_counter() - start
         curve_ok = (

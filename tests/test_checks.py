@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from trophodge import curves
+from trophodge import checks, curves, discrete
 from trophodge.checks import (
     CheckReport,
     band_window,
@@ -128,6 +129,60 @@ def test_check_hodge_theorem_on_theta():
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["hodge-dimension-agreement"].residual == 0.0
     assert by_id["hodge-kernel-span"].residual <= 1e-6
+
+
+def _hodge_statuses(curve):
+    report = check_hodge_theorem(curve, KahlerForm.from_spec(curve, None), h_list=(1 / 16,))
+    return {c.check_id: c.status for c in report.checks}
+
+
+def test_dropped_kirchhoff_rows_turn_dimension_agreement_red(monkeypatch):
+    # On edgewise-constant forms, the kernel's home, the Kirchhoff rows of a
+    # connected curve sum to zero, so any one row follows from the others;
+    # dropping two frees one more flow.
+    assemble = discrete.assemble
+
+    def dropping(mesh, curve, g, bidegree):
+        system = assemble(mesh, curve, g, bidegree)
+        return dataclasses.replace(system, constraints=system.constraints[2:])
+
+    monkeypatch.setattr(checks, "assemble", dropping)
+    statuses = _hodge_statuses(curves.theta_graph())
+    assert statuses["hodge-dimension-agreement"] == "fail"
+
+
+def test_split_vertex_dof_turns_scalar_dimensions_red(monkeypatch):
+    # the centre's value on leg1 gets a DOF of its own, so leg1 comes loose
+    layout = discrete._dof_layout
+
+    def splitting(mesh, bidegree):
+        dof_map = layout(mesh, bidegree)
+        if bidegree.as_tuple() != (0, 0):
+            return dof_map
+        ids = dof_map.edge_dofs["leg1"].copy()
+        ids[-1] = dof_map.n_dofs
+        return dataclasses.replace(dof_map, n_dofs=dof_map.n_dofs + 1,
+                                   edge_dofs={**dof_map.edge_dofs, "leg1": ids})
+
+    monkeypatch.setattr(discrete, "_dof_layout", splitting)
+    statuses = _hodge_statuses(curves.star(3))
+    assert statuses["hodge-scalar-dimensions"] == "fail"
+
+
+def test_perturbed_kernel_vector_turns_kernel_span_red(monkeypatch):
+    kernel = discrete.kernel
+
+    def perturbing(system):
+        result = kernel(system)
+        u = result.vectors[:, 0] + 1e-4 * np.random.default_rng(0).standard_normal(result.vectors.shape[0])
+        vectors = result.vectors.copy()
+        vectors[:, 0] = u / np.sqrt(u @ (system.mass @ u))  # still M-normalized, but turned
+        return dataclasses.replace(result, vectors=vectors)
+
+    monkeypatch.setattr(checks, "kernel", perturbing)
+    statuses = _hodge_statuses(curves.triangle())
+    assert statuses["hodge-dimension-agreement"] == "pass"
+    assert statuses["hodge-kernel-span"] == "fail"
 
 
 def test_check_star_identities_with_fubini_study_tails():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,35 @@ def test_malformed_documents_give_typed_errors(tmp_path, capsys, doc, kind):
     command = "genus" if kind == "CurveError" else "harmonic"
     assert run([command, str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "curve,kahler",
+    [
+        # legs decaying slower than Fubini-Study: 1/g reaches 2e10 at the cutoff
+        (curves.star(3), {f"leg{i}": "1.5*exp(1.5*x)/(1+exp(1.5*x))^2" for i in (1, 2, 3)}),
+        (curves.triangle_with_legs(), {"legB": "3*exp(3*x)"}),
+    ],
+    ids=["slow-legs", "steep-leg"],
+)
+def test_verify_passes_on_legs_of_other_decay_rates(tmp_path, capsys, curve, kahler):
+    doc = json.loads(serialize(curve))
+    doc["kahler"] = {eid: {"kind": "expr", "formula": formula} for eid, formula in kahler.items()}
+    path = tmp_path / "legs.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 0
+    assert all(c["status"] == "pass" for c in json.loads(capsys.readouterr().out)["checks"])
+
+
+def test_module_entry_points(theta_file, bad_file):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    genus = subprocess.run([sys.executable, "-m", "trophodge", "genus", theta_file],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert genus.returncode == 0
+    assert json.loads(genus.stdout) == {"genus": 2}
+    bad = subprocess.run([sys.executable, "-m", "trophodge.cli", "genus", bad_file],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2
+    assert json.loads(bad.stderr)["error"]["kind"] == "CurveError"

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from trophodge import curves
+from trophodge import curves, discrete
 from trophodge.checks import _TAIL_WINDOW_BOUND, _smoothstep_window, band_window
 from trophodge.curve import Edge, TropicalCurve
 from trophodge.discrete import (
@@ -347,15 +347,75 @@ def test_eigensolver_residual_contract():
         assert np.linalg.norm(K @ u - lam * (M @ u)) <= 1e-10 * norm_k
 
 
-def test_ambiguous_kernel_is_reported():
+def test_ambiguous_kernel_is_reported(monkeypatch):
     # two nearly-equal smallest eigenvalues with no thousandfold gap:
     # a single Neumann edge probed with an extreme gap requirement
     edge = curves.single_edge(1.0)
     g = KahlerForm.constant(edge, 1.0)
     mesh = build_mesh(edge, g, 1 / 4, 1e-4)
     system = assemble(mesh, edge, g, (0, 0))
+    monkeypatch.setattr(discrete, "GAP_RATIO_MIN", 1e30)
     with pytest.raises(AmbiguousKernelError):
-        kernel(system, gap_ratio_min=1e30)
+        kernel(system)
+
+
+def _lattice(n, legs=(), toward_smaller=False):
+    """The n x n lattice of unit edges, with Fubini-Study legs at the named vertices."""
+    vertices = [f"v{i}_{j}" for i in range(n) for j in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            for eid, (a, b) in ((f"h{i}_{j}", (i + 1, j)), (f"w{i}_{j}", (i, j + 1))):
+                if a < n and b < n:
+                    ends = [f"v{i}_{j}", f"v{a}_{b}"]
+                    if toward_smaller:
+                        ends.reverse()
+                    edges.append(Edge(eid, ends[0], ends[1], 1.0))
+    for k, v in enumerate(legs):
+        vertices.append(f"leaf{k}")
+        edges.append(Edge(f"leg{k}", f"leaf{k}", v, math.inf))
+    return TropicalCurve(tuple(vertices), tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "n,legs,toward_smaller",
+    [
+        (6, (), False),  # genus 25: shift-invert Lanczos did not converge
+        (5, ("v0_0", "v2_2"), True),  # genus 16: a silent kernel dimension of 15
+    ],
+)
+def test_kernel_of_lattices_is_the_genus(n, legs, toward_smaller):
+    curve = _lattice(n, legs, toward_smaller)
+    g = KahlerForm.from_spec(curve, None)
+    system = assemble(build_mesh(curve, g, 1 / 8, 1e-4), curve, g, (1, 0))
+    assert kernel(system).kernel_dimension == (n - 1) ** 2
+
+
+def test_spectrum_of_fubini_study_star_on_a_fine_mesh():
+    # 0, then the odd Legendre eigenvalue 2 l (l + 1) = 4 once per leg but one
+    star = curves.star(4)
+    g = KahlerForm.from_spec(star, None)
+    system = assemble(build_mesh(star, g, 1 / 64, 1e-4), star, g, (0, 0))
+    lams = spectrum(system, 4).eigenvalues
+    assert abs(lams[0]) < 1e-6
+    assert lams[1] == pytest.approx(4.0, rel=1e-4)
+    assert lams[3] - lams[1] <= 1e-9 * lams[1]
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_inertia_count_mismatch_is_ambiguous(monkeypatch, offset):
+    theta = curves.theta_graph()
+    g = KahlerForm.constant(theta, 1.0)
+    system = assemble(build_mesh(theta, g, 1 / 8, 1e-4), theta, g, (1, 0))
+    factor = discrete._factor
+
+    def miscounting(A, B, shift):
+        lu, count = factor(A, B, shift)
+        return lu, count + offset
+
+    monkeypatch.setattr(discrete, "_factor", miscounting)
+    with pytest.raises(AmbiguousKernelError):
+        kernel(system)
 
 
 # -- the local right inverse of d'' ----------------------------------------
