@@ -345,13 +345,14 @@ def _principal_angle(system, spectral, exact_forms) -> float:
             values = np.asarray(form.coefficients[eid](coords), dtype=float)
             kept = dofs >= 0
             X[dofs[kept], j] = values[kept]
-    U = spectral.vectors
-    if U.shape[1] != X.shape[1]:
+    U, M = spectral.vectors, system.mass
+    MU = M @ U
+    # the cosines below are only cosines for M-orthonormal U
+    if U.shape[1] != X.shape[1] or np.abs(U.T @ MU - np.eye(U.shape[1])).max() > 1e-8:
         return math.pi / 2
-    M = system.mass
     gram = X.T @ (M @ X)
     X = X @ np.linalg.inv(np.linalg.cholesky(gram).T)
-    cosines = scipy.linalg.svdvals(X.T @ (M @ U))
+    cosines = scipy.linalg.svdvals(X.T @ MU)
     return float(np.arccos(np.clip(cosines.min() if cosines.size else 1.0, -1.0, 1.0)))
 
 

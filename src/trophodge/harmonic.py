@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import TropicalCurve, genus, incidence_matrix
+from .curve import TropicalCurve, incidence_matrix
 from .exact import integerize, nullspace, rank
 from .metric import KahlerForm
 from .superform import Bidegree, Superform
@@ -65,7 +65,7 @@ def _flow_basis(curve: TropicalCurve) -> list[dict]:
     inc = incidence_matrix(curve)
     finite_ids = [e.id for e in curve.finite_edges()]
     finite_cols = [inc.edge_ids.index(eid) for eid in finite_ids]
-    restricted = [[Fraction(row[j]) for j in finite_cols] for row in inc.matrix]
+    restricted = [[row[j] for j in finite_cols] for row in inc.matrix]
     kernel = nullspace(restricted, n_cols=len(finite_ids))
     basis = []
     for vec in kernel:
@@ -85,26 +85,23 @@ def harmonic_basis(curve: TropicalCurve, g: KahlerForm | None, bidegree) -> Harm
         coeffs = {e.id: Fraction(1) for e in curve.sorted_edges()}
         form = Superform.on_curve(curve, bd, coeffs)
         return HarmonicBasis(bd, (form,), (coeffs,), "constants")
-    if bd.as_tuple() == (1, 0):
+    if bd.as_tuple() in ((1, 0), (0, 1)):
+        # (0,1) is the star of the (1,0) basis: f d'x -> f d''x, coefficients unchanged
         tables = _flow_basis(curve)
         forms = tuple(Superform.on_curve(curve, bd, t) for t in tables)
-        return HarmonicBasis(bd, forms, tuple(tables), "incidence-nullspace")
-    if bd.as_tuple() == (0, 1):
-        # star of the (1,0) basis: f d'x -> f d''x, coefficients unchanged
-        tables = _flow_basis(curve)
-        forms = tuple(Superform.on_curve(curve, bd, t) for t in tables)
-        return HarmonicBasis(bd, forms, tuple(tables), "star-dual")
+        provenance = "incidence-nullspace" if bd.as_tuple() == (1, 0) else "star-dual"
+        return HarmonicBasis(bd, forms, tuple(tables), provenance)
     if g is None:
         raise ValueError("the (1,1) harmonic basis is the Kahler form; pass g")
     return HarmonicBasis(bd, (g.as_superform(),), None, "star-dual")
 
 
 def betti(curve: TropicalCurve, q: int) -> int:
-    """Topological Betti numbers of the underlying connected graph."""
+    """Topological Betti numbers of the underlying graph, from its components."""
     if q == 0:
-        return 1 if curve.is_connected() else _component_count(curve)
+        return _component_count(curve)
     if q == 1:
-        return genus(curve) if curve.is_connected() else len(curve.edges) - len(curve.vertices) + _component_count(curve)
+        return len(curve.edges) - len(curve.vertices) + _component_count(curve)
     raise ValueError("a graph has cohomology only in degrees 0 and 1")
 
 
@@ -143,7 +140,7 @@ def _cech_constants(curve: TropicalCurve) -> tuple[int, int]:
     edges = curve.sorted_edges()
     delta = []
     for e in edges:
-        row = [Fraction(0)] * len(vertices)
+        row = [0] * len(vertices)
         row[v_index[e.head]] += 1
         row[v_index[e.tail]] -= 1
         delta.append(row)
@@ -169,7 +166,7 @@ def _cech_omega1(curve: TropicalCurve) -> tuple[int, int]:
 
     edges = curve.sorted_edges()
     edge_row = {e.id: j for j, e in enumerate(edges)}
-    delta = [[Fraction(0)] * len(columns) for _ in edges]
+    delta = [[0] * len(columns) for _ in edges]
 
     for col, (v, i) in enumerate(columns):
         ends = ends_at[v]
@@ -186,5 +183,5 @@ def _cech_omega1(curve: TropicalCurve) -> tuple[int, int]:
 
     dim_c0 = len(columns)
     dim_c1 = len(edges)
-    r = rank(delta) if columns else 0
+    r = rank(delta)
     return dim_c0 - r, dim_c1 - r

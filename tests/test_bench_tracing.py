@@ -9,6 +9,7 @@ import importlib
 from pathlib import Path
 
 from trophodge import curves
+from trophodge.harmonic import cech_cohomology
 from trophodge.metric import KahlerForm, inner_product
 from trophodge.superform import Superform
 
@@ -34,3 +35,22 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
         tracer.unwrap()
     for (module, attr), original in originals.items():
         assert getattr(importlib.import_module(module), attr) is original
+
+
+def test_traced_cech_shows_one_rref_over_the_dense_input(monkeypatch):
+    # rank reaches rref through the module global and hands it dense rows,
+    # which is what the traced exact.rref_calls and exact.rref_cells count
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.wrap()
+    try:
+        tracer.enabled = True
+        k4 = curves.k4()
+        cech_cohomology(k4, "omega1")
+    finally:
+        tracer.unwrap()
+    spans = [s for s in tracer.spans if s["name"] == "exact.rref"]
+    assert len(spans) == 1
+    columns = sum(k4.degree(v) - 1 for v in k4.vertices if k4.degree(v) >= 2)
+    assert spans[0]["cells"] == len(k4.edges) * columns

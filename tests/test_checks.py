@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trophodge import checks, curves, discrete
+from trophodge import checks, curves, discrete, harmonic
 from trophodge.checks import (
     CheckReport,
     band_window,
@@ -183,6 +183,35 @@ def test_perturbed_kernel_vector_turns_kernel_span_red(monkeypatch):
     statuses = _hodge_statuses(curves.triangle())
     assert statuses["hodge-dimension-agreement"] == "pass"
     assert statuses["hodge-kernel-span"] == "fail"
+
+
+def test_mis_scaled_kernel_vector_turns_kernel_span_red(monkeypatch):
+    # a vector off the M-unit sphere would read as cosine 1 after clipping
+    kernel = discrete.kernel
+
+    def scaling(system):
+        result = kernel(system)
+        vectors = result.vectors.copy()
+        vectors[:, 0] *= 1 + 1e-4
+        return dataclasses.replace(result, vectors=vectors)
+
+    monkeypatch.setattr(checks, "kernel", scaling)
+    statuses = _hodge_statuses(curves.triangle())
+    assert statuses["hodge-kernel-span"] == "fail"
+
+
+def test_dropped_nullspace_vector_turns_dimension_agreement_red(monkeypatch):
+    nullspace = harmonic.nullspace
+    monkeypatch.setattr(harmonic, "nullspace", lambda *args, **kwargs: nullspace(*args, **kwargs)[:-1])
+    statuses = _hodge_statuses(curves.theta_graph())
+    assert statuses["hodge-dimension-agreement"] == "fail"
+
+
+def test_overcounted_rank_turns_scalar_dimensions_red(monkeypatch):
+    rank = harmonic.rank
+    monkeypatch.setattr(harmonic, "rank", lambda matrix: rank(matrix) + 1)
+    statuses = _hodge_statuses(curves.triangle())
+    assert statuses["hodge-scalar-dimensions"] == "fail"
 
 
 def test_check_star_identities_with_fubini_study_tails():

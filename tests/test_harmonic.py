@@ -133,6 +133,12 @@ def test_betti_numbers(factory, b1):
     assert betti(curve, 1) == b1
 
 
+def test_betti_counts_components_of_two_disjoint_triangles():
+    edges = [("1", "A", "B"), ("2", "B", "C"), ("3", "C", "A"), ("4", "D", "E"), ("5", "E", "F"), ("6", "F", "D")]
+    two = TropicalCurve(tuple("ABCDEF"), tuple(Edge(eid, t, h, 1.0) for eid, t, h in edges))
+    assert (betti(two, 0), betti(two, 1)) == (2, 2)
+
+
 @pytest.mark.parametrize(
     "factory,expected",
     [
