@@ -4,7 +4,8 @@ Subcommands: validate, genus, harmonic, spectrum, verify, theta.  Every
 command reads a curve-spec JSON document and emits a JSON report to
 stdout or --out FILE; spectra can additionally be dumped as CSV.  Exit
 codes: 0 on success, 1 when a verification check fails, 2 on input
-errors (with a machine-readable error object on stderr).
+errors or when the eigensolver cannot certify a result (with a
+machine-readable error object on stderr).
 
 Reports are byte-deterministic for fixed inputs and seeds; per-check
 timings are zeroed unless --timings is given.
@@ -17,7 +18,7 @@ import sys
 
 from . import checks as checks_module
 from .curve import CurveError, genus, parse_document, validate
-from .discrete import assemble, build_mesh, kernel, spectrum
+from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel, spectrum
 from .expressions import ExpressionError, parse_expression
 from .harmonic import harmonic_basis
 from .metric import KahlerError, KahlerForm
@@ -100,8 +101,8 @@ def run(argv=None) -> int:
             extra = {"line": exc.lineno, "column": exc.colno, "position": exc.pos}
         _emit_error(kind, str(exc), **extra)
         return 2
-    except DivergenceError as exc:
-        _emit_error("DivergenceError", str(exc))
+    except (DivergenceError, AmbiguousKernelError) as exc:
+        _emit_error(type(exc).__name__, str(exc))
         return 2
 
 

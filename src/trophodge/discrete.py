@@ -22,9 +22,11 @@ are independent.  Solving each row for its lowest DOF gives the basis
 in closed form; its entries are 0 and +-1, which floats hold exactly,
 and it is the basis reduced row-echelon form would give.  One sparse
 eigensolver serves ``kernel`` and ``spectrum``: block inverse iteration
-with the spectral transformation (K + M)^{-1} M, certified by inertia
-counts.  The kernel dimension is read off a spectral gap ratio with an
-explicit failure mode instead of a silent threshold.
+with the spectral transformation (K + M)^{-1} M and a Rayleigh-Ritz step
+per sweep on a basis orthonormalized through its Gram matrix (SVQB),
+certified by inertia counts.  The kernel dimension is read off a
+spectral gap ratio with an explicit failure mode instead of a silent
+threshold.
 """
 
 from __future__ import annotations
@@ -366,14 +368,73 @@ def _factor(A, B, shift: float):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _lowest(A, B, k: int):
+def _count_below(A, B, shifts):
+    """The number of eigenvalues below the first of ``shifts`` at which
+    A - shift B factors with diagonal pivots, and that shift.
+
+    The shifts lie in one gap of the spectrum, so each gives the same
+    count; an exactly zero pivot at one of them is a coincidence of the
+    arithmetic (the midpoint of 0 and 48 on a mesh of one element per
+    edge), not a property of the gap.
+    """
+    for shift in shifts[:-1]:
+        try:
+            return _factor(A, B, shift)[1], shift
+        except AmbiguousKernelError:
+            pass
+    return _factor(A, B, shifts[-1])[1], shifts[-1]
+
+
+def _widen(S, width: int, rng):
+    """S with random columns appended up to ``width``, within the size cap."""
+    n = S.shape[0]
+    if width * n > _MAX_BLOCK_ENTRIES:
+        raise AmbiguousKernelError(f"a block of {width} vectors of length {n} exceeds"
+                                   f" the cap of {_MAX_BLOCK_ENTRIES} entries")
+    return np.hstack([S, rng.standard_normal((n, width - S.shape[1]))])
+
+
+def _ritz_vectors(S, A, B, rng):
+    """B-orthonormal Ritz vectors of A x = lambda B x on the span of S,
+    as many as S has columns.
+
+    The basis Q comes from SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput.
+    23, 2002): the Gram matrix S^T B S, scaled to unit diagonal by D, is
+    eigendecomposed as V diag(lam) V^T, and Q = S D V diag(lam)^{-1/2}.
+    Directions whose lam is below rounding carry nothing of S; they are
+    dropped and fresh random columns take their place.  One pass leaves Q
+    orthonormal to about the rounding error over the smallest lam, so
+    another follows while that lam is below 1e-4 (three passes at most
+    across the test suite; the bound of eight stops a Gram matrix that is
+    not finite).  Near the identity the Gram's eigenvalues cluster, where
+    the "evd" driver keeps V orthogonal to rounding and the default "evr"
+    does not.  The Ritz vectors are Q W, with W the eigenvectors of the
+    small symmetric matrix Q^T (A Q).
+    """
+    for _ in range(8):
+        G = S.T @ (B @ S)
+        d = 1.0 / np.sqrt(np.diag(G))
+        lam, V = scipy.linalg.eigh(G * np.outer(d, d), check_finite=False, driver="evd")
+        keep = lam > S.shape[1] * np.finfo(float).eps * lam[-1]
+        Q = S @ (V[:, keep] * d[:, None] / np.sqrt(lam[keep]))
+        if lam[0] > 1e-4 * lam[-1]:
+            return Q @ scipy.linalg.eigh(Q.T @ (A @ Q), check_finite=False, driver="evd")[1]
+        S = _widen(Q, S.shape[1], rng)
+    raise AmbiguousKernelError("the block could not be made B-orthonormal")
+
+
+def _lowest(A, B, k: int, start=None):
     """The k lowest eigenpairs of A x = lambda B x, certified complete.
 
     Block inverse iteration on (A + B)^{-1} B, the spectral transformation
-    of Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start,
-    with a Rayleigh-Ritz step each sweep.  Each Ritz value is recomputed
-    as the Rayleigh quotient of its vector, which stays accurate when the
-    block also spans huge eigenvalues.  A Ritz value theta lies within
+    of Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start.
+    Each sweep B-orthonormalizes the block through its Gram matrix into
+    Q, with no QR factorization, and takes the Ritz vectors from the small
+    symmetric matrix Q^T (A Q) (``_ritz_vectors``).  Each Ritz value is
+    then the Rayleigh quotient of its vector x from the sparse products
+    A x and B x: the block also spans eigenvalues up to 1e9 on truncated
+    legs, and A x taken as a combination of the columns of A Q would lose
+    the small ones to cancellation.  A Ritz value theta lies within
     rho = sqrt((1 + theta) r^T (A + B)^{-1} r), r = A x - theta B x, of
     an eigenvalue to first order.  The block doubles while the wanted
     pairs would converge slower than _RATE per sweep, or their largest
@@ -383,22 +444,29 @@ def _lowest(A, B, k: int):
     1994).  Ritz values bound eigenvalues from above, so a larger count
     means missed eigenvalues, which become wanted.  Returns the certified
     Ritz values in ascending order (k or more: a cluster is never split),
-    their B-orthonormal vectors and their largest rho.
+    their B-orthonormal vectors, their largest rho, and the state (factor,
+    random generator, next block) that a call given it as ``start``
+    continues from, for a larger k.
     """
     n = A.shape[0]
-    lu, _ = _factor(A, B, -1.0)
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, min(n, k + 4)))
+    lu, rng, S = start or (None, np.random.default_rng(0), np.zeros((n, 0)))
+    S = _widen(S, max(S.shape[1], min(n, k + 4)), rng)  # checks the size cap first
+    if lu is None:
+        lu = _factor(A, B, -1.0)[0]
     previous = math.inf
     for _ in range(_MAX_SWEEPS):
-        width = X.shape[1]
-        Q = scipy.linalg.qr(X, mode="economic", overwrite_a=True, check_finite=False)[0]
-        X = Q @ scipy.linalg.eigh(Q.T @ (A @ Q), Q.T @ (B @ Q), check_finite=False)[1]
+        width = S.shape[1]
+        X = _ritz_vectors(S, A, B, rng)
         AX, BX = A @ X, B @ X
-        theta = np.einsum("ij,ij->j", X, AX) / np.einsum("ij,ij->j", X, BX)
+        norm2 = np.einsum("ij,ij->j", X, BX)
+        theta = np.einsum("ij,ij->j", X, AX) / norm2
         nu = 1.0 + theta
-        Y = lu.solve(BX)
-        rho = np.sqrt(nu * np.maximum(np.einsum("ij,ij->j", AX - BX * theta, X - Y * nu), 0.0))
+        S = np.ascontiguousarray(lu.solve(BX))  # row-major like X, so the steps below stream
+        R = AX  # r = A x - theta B x, in place: n x width arrays dominate the memory
+        R -= np.multiply(BX, theta, out=BX)
+        T = S * nu
+        np.subtract(X, T, out=T)  # (A + B)^{-1} r = x - nu y
+        rho = np.sqrt(nu * np.maximum(np.einsum("ij,ij->j", R, T), 0.0) / norm2)
         rho += np.finfo(float).eps * (1.0 + np.abs(theta))  # no Ritz value is known better than rounding
         residual = float(np.max(rho[:k] / nu[:k]))
         stalled, previous = residual >= previous / 2, residual
@@ -414,23 +482,21 @@ def _lowest(A, B, k: int):
             elif later[0] > 0:  # a cluster straddles the k-th value: want all of it
                 k, previous = k + int(later[0]), math.inf
             else:
-                shift = 0.5 * (theta[k - 1] + theta[k])
-                count = _factor(A, B, shift)[1]
+                lo, hi = theta[k - 1], theta[k]  # the middle of the gap, then its quarter points
+                count, shift = _count_below(A, B, (0.5 * (lo + hi), 0.75 * lo + 0.25 * hi,
+                                                   0.25 * lo + 0.75 * hi))
                 if count == k:
                     break
                 if count < k:
                     raise AmbiguousKernelError(f"{count} eigenvalues but {k} Ritz values lie below {shift:.6g}")
                 k, previous, grow = count, math.inf, count + 4 > width
-        X = Y
         if grow:
-            wider = min(n, max(2 * width, k + 4))
-            if wider * n > _MAX_BLOCK_ENTRIES:
-                raise AmbiguousKernelError(f"no convergence with a block of {width} vectors")
-            X, previous = np.hstack([Y, rng.standard_normal((n, wider - width))]), math.inf
+            S, previous = _widen(S, min(n, max(2 * width, k + 4)), rng), math.inf
     else:
         raise AmbiguousKernelError(f"no convergence in {_MAX_SWEEPS} sweeps")
+    X /= np.sqrt(norm2)
     order = np.argsort(theta[:k])  # Rayleigh quotients may swap within a cluster
-    return theta[order], X[:, order], float(np.max(rho[:k]))
+    return theta[order], X[:, order], float(np.max(rho[:k])), (lu, rng, S)
 
 
 def kernel(system: DiscreteSystem) -> SpectralResult:
@@ -439,16 +505,17 @@ def kernel(system: DiscreteSystem) -> SpectralResult:
     The kernel dimension is the first d >= 0 such that
     lambda_d / max(lambda_{d-1}, floor) >= GAP_RATIO_MIN, where the floor
     is the eigensolver's own error bound, and the inertia at the middle
-    of that gap must count exactly d.  Otherwise the kernel is reported
-    ambiguous, never silently chosen.
+    of that gap must count exactly d.  With no such d the kernel is the
+    whole space if every eigenvalue lies within the floor of 0.  Otherwise
+    the kernel is reported ambiguous, never silently chosen.
     """
     Z, A, B = _reduced_pencil(system)
     nred = A.shape[0]
     if nred == 0:
         return SpectralResult(np.zeros(0), np.zeros((system.dof_map.n_dofs, 0)), 0, math.inf)
-    k = min(nred, 6)
-    for _ in range(2):  # a second request takes in the gap and the five values shown after it
-        lam, vec, floor = _lowest(A, B, k)
+    k, state = min(nred, 6), None
+    for _ in range(2):  # a second request, continuing the first, takes in the gap and five values after it
+        lam, vec, floor, state = _lowest(A, B, k, state)
         below = np.maximum(np.concatenate(([floor], lam[:-1])), floor)
         jumps = np.flatnonzero(lam >= GAP_RATIO_MIN * below)
         d = int(jumps[0]) if jumps.size else lam.size
@@ -456,9 +523,12 @@ def kernel(system: DiscreteSystem) -> SpectralResult:
             break
         k = min(nred, d + 5)
     if d == lam.size:
-        raise AmbiguousKernelError(f"no gap ratio >= {GAP_RATIO_MIN} found (eigenvalues start {lam[:6]})")
-    shift = math.sqrt(below[d] * lam[d])  # the geometric middle of the gap
-    if _factor(A, B, shift)[1] != d:
+        if lam.size < nred or np.max(np.abs(lam)) > floor:
+            raise AmbiguousKernelError(f"no gap ratio >= {GAP_RATIO_MIN} found (eigenvalues start {lam[:6]})")
+        return SpectralResult(lam.copy(), Z @ vec, d, math.inf)  # all of it is zero to the solver's accuracy
+    lo, hi = below[d], lam[d]  # the geometric middle of the gap, then its quarter points
+    count, shift = _count_below(A, B, (math.sqrt(lo * hi), lo**0.75 * hi**0.25, lo**0.25 * hi**0.75))
+    if count != d:
         raise AmbiguousKernelError(f"the inertia at {shift:.6g}, inside the gap, does not count {d} eigenvalues")
     return SpectralResult(lam[: d + 5].copy(), Z @ vec[:, :d], d, float(lam[d] / below[d]))
 
@@ -470,7 +540,7 @@ def spectrum(system: DiscreteSystem, k: int) -> SpectralResult:
         raise ValueError(f"requested {k} eigenvalues from a system of dimension {A.shape[0]}")
     if k == 0:
         return SpectralResult(np.zeros(0), np.zeros((system.dof_map.n_dofs, 0)))
-    lam, vec, _ = _lowest(A, B, k)
+    lam, vec = _lowest(A, B, k)[:2]
     return SpectralResult(lam[:k].copy(), Z @ vec[:, :k])
 
 

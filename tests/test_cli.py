@@ -264,3 +264,27 @@ def test_module_entry_points(theta_file, bad_file):
                          env=env, capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2
     assert json.loads(bad.stderr)["error"]["kind"] == "CurveError"
+
+
+def test_spectrum_solver_giving_up_is_a_typed_error(triangle_file, monkeypatch, capsys):
+    from trophodge import discrete
+
+    # the triangle at h = 1/8 has 24 degrees of freedom: the first block of
+    # 3 + 4 vectors fits under the cap, the wider block it grows to does not
+    monkeypatch.setattr(discrete, "_MAX_BLOCK_ENTRIES", 24 * 7)
+    assert run(["spectrum", triangle_file, "--h", "0.125", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "AmbiguousKernelError"
+    assert "exceeds the cap" in error["message"]
+
+
+def test_importing_the_package_leaves_the_sparse_solvers_unloaded():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, trophodge; print('scipy.sparse.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
@@ -357,6 +358,117 @@ def test_ambiguous_kernel_is_reported(monkeypatch):
     monkeypatch.setattr(discrete, "GAP_RATIO_MIN", 1e30)
     with pytest.raises(AmbiguousKernelError):
         kernel(system)
+
+
+def _check_against_dense(curve, g, h):
+    """spectrum and kernel agree with a dense eigensolve of the reduced pencil."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a collapsed leg warns
+        mesh = build_mesh(curve, g, h, 1e-4)
+    for bidegree in ((0, 0), (1, 0)):
+        system = assemble(mesh, curve, g, bidegree)
+        _, A, B = discrete._reduced_pencil(system)
+        n = A.shape[0]
+        if n == 0:
+            continue
+        if not np.all(B.diagonal() > 0):  # a vertex whose every edge collapsed carries no mass
+            with pytest.raises(AmbiguousKernelError):
+                kernel(system)
+            continue
+        A, B = A.toarray(), B.toarray()
+        plain = scipy.linalg.eigh(A, B, eigvals_only=True)
+        mu = scipy.linalg.eigh(A, A + B, eigvals_only=True)
+        # (A, B) gives lambda to about eps max(lambda) and (A, A + B), as
+        # mu = lambda / (1 + lambda), to about eps (1 + lambda)^2: take the better
+        dense = np.where((1.0 + plain) ** 2 < plain[-1], mu / (1.0 - mu), plain)
+        for k in sorted({1, min(n, 6), n // 2, n} - {0}):
+            result = spectrum(system, k)
+            error = np.abs(result.eigenvalues - dense[:k])
+            assert np.all(error <= np.maximum(1e-8 * np.abs(dense[:k]), 1e-10)), (bidegree, k)
+            U = result.vectors
+            assert np.abs(U.T @ (system.mass @ U) - np.eye(k)).max() <= 1e-12, (bidegree, k)
+        result = kernel(system)
+        d = result.kernel_dimension
+        middle = result.eigenvalues[d] / math.sqrt(result.gap_ratio) if d < n else math.inf
+        assert np.count_nonzero(dense < middle) == d, bidegree
+
+
+@pytest.mark.parametrize("h", [1 / 2, 1 / 4])
+@pytest.mark.parametrize(
+    "factory",
+    [curves.projective_line, lambda: curves.star(3), curves.triangle, curves.theta_graph, curves.k4,
+     curves.triangle_with_legs, curves.single_edge],
+)
+def test_solver_matches_dense_eigensolve(factory, h):
+    curve = factory()
+    _check_against_dense(curve, KahlerForm.from_spec(curve, None), h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(multigraphs(), st.sampled_from([1 / 2, 1 / 4]))
+def test_solver_matches_dense_eigensolve_on_multigraphs(case, h):
+    _check_against_dense(*case, h)
+
+
+def test_first_block_respects_the_size_cap(monkeypatch):
+    tri = curves.triangle()
+    g = KahlerForm.constant(tri, 1.0)
+    system = assemble(build_mesh(tri, g, 1 / 8, 1e-4), tri, g, (0, 0))
+    n = system.stiffness.shape[0]
+
+    def no_factor(*args):
+        raise AssertionError("factored before the size cap was checked")
+
+    monkeypatch.setattr(discrete, "_MAX_BLOCK_ENTRIES", n * (3 + 4) - 1)
+    monkeypatch.setattr(discrete, "_factor", no_factor)
+    with pytest.raises(AmbiguousKernelError, match="exceeds the cap"):
+        spectrum(system, 3)
+
+
+def test_exact_zero_pivot_in_the_middle_of_a_gap():
+    # one element per edge: the eigenvalues are 0 (genus 3 times) and 48,
+    # and A - 24 B needs an off-diagonal pivot, so its inertia is unknown
+    curve = TropicalCurve(("v0", "v1"), tuple(Edge(f"e{i}", "v0", "v1", 0.5) for i in range(4)))
+    g = KahlerForm.constant(curve, 1.0)
+    system = assemble(build_mesh(curve, g, 0.5, 1e-4), curve, g, (1, 0))
+    with pytest.raises(AmbiguousKernelError, match="off-diagonal"):
+        discrete._factor(*discrete._reduced_pencil(system)[1:], 24.0)
+    assert abs(spectrum(system, 1).eigenvalues[0]) < 1e-12
+    assert kernel(system).kernel_dimension == 3
+
+
+def test_kernel_of_a_system_that_is_all_kernel():
+    # a loop of one element: a single degree of freedom, with no eigenvalue above the kernel
+    curve = TropicalCurve(("v0",), (Edge("e0", "v0", "v0", 0.5),))
+    g = KahlerForm.constant(curve, 1.0)
+    mesh = build_mesh(curve, g, 0.5, 1e-4)
+    for bidegree in ((0, 0), (1, 0)):
+        result = kernel(assemble(mesh, curve, g, bidegree))
+        assert result.kernel_dimension == 1 and result.vectors.shape[1] == 1
+
+
+def test_kernel_continues_its_first_request(monkeypatch):
+    # genus 9: the kernel is wider than the first request of six values
+    curve = _lattice(4, ("v0_0", "v3_3"))
+    g = KahlerForm.from_spec(curve, None)
+    system = assemble(build_mesh(curve, g, 1 / 4, 1e-4), curve, g, (1, 0))
+    shifts, starts = [], []
+    factor, lowest = discrete._factor, discrete._lowest
+
+    def recording_factor(A, B, shift):
+        shifts.append(shift)
+        return factor(A, B, shift)
+
+    def recording_lowest(A, B, k, start=None):
+        starts.append(start)
+        return lowest(A, B, k, start)
+
+    monkeypatch.setattr(discrete, "_factor", recording_factor)
+    monkeypatch.setattr(discrete, "_lowest", recording_lowest)
+    result = kernel(system)
+    assert result.kernel_dimension == 9
+    assert len(starts) == 2 and starts[0] is None and starts[1] is not None
+    assert shifts.count(-1.0) == 1  # the second request reuses the factor
 
 
 def _lattice(n, legs=(), toward_smaller=False):
