@@ -468,12 +468,13 @@ def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
 def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7) -> CheckReport:
     """Star involution sign, star isometry, star/Laplacian commutation."""
     report = CheckReport()
+    families = {(p, q): _star_family(curve, (p, q)) for p, q in ((0, 0), (1, 0), (0, 1), (1, 1))}
 
     start = time.perf_counter()
     worst = 0.0
-    for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+    for (p, q), family in families.items():
         sign = (-1.0) ** (p + q)
-        for form in _star_family(curve, (p, q)):
+        for form in family:
             twice = hodge_star(hodge_star(form, g), g)
             reference = form.map_coefficients(lambda fn: fn.scale(sign)) if sign < 0 else form
             worst = max(worst, _sup_difference(curve, twice, reference))
@@ -487,8 +488,7 @@ def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7
 
     start = time.perf_counter()
     worst = 0.0
-    for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        family = _star_family(curve, (p, q))
+    for family in families.values():
         for i in range(len(family)):
             for j in range(i, len(family)):
                 direct = inner_product(family[i], family[j], g)
@@ -504,8 +504,8 @@ def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7
 
     start = time.perf_counter()
     worst = 0.0
-    for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        for form in _star_family(curve, (p, q)):
+    for family in families.values():
+        for form in family:
             left = laplacian(hodge_star(form, g), g)
             right = hodge_star(laplacian(form, g), g)
             worst = max(worst, _sup_difference(curve, left, right))

@@ -306,17 +306,7 @@ def validate(curve: TropicalCurve) -> ValidationReport:
         )
     )
 
-    bad5 = [
-        e.id
-        for e in curve.infinite_edges()
-        if not (degree[e.tail] == 1 and degree[e.head] >= 2)
-    ]
-    # An edge meeting two degree-one vertices is condition 6 territory, not 5.
-    bad5 = [
-        eid
-        for eid in bad5
-        if not (degree[curve.edge(eid).tail] == 1 and degree[curve.edge(eid).head] == 1)
-    ]
+    bad5 = [e.id for e in curve.infinite_edges() if degree[e.tail] != 1]
     checks.append(
         ConditionCheck(
             "5",

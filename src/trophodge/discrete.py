@@ -92,19 +92,19 @@ class Mesh:
         return None
 
 
-def _tail_cutoff(fn: EdgeFunction, trunc_eps: float) -> TruncationRecord | None:
-    """Smallest doubling candidate L with both tail integrals <= eps."""
-    candidates = [0.0]
-    L = 1.0
+def _tail_cutoff(edge_id: str, fn: EdgeFunction, trunc_eps: float) -> TruncationRecord:
+    """Smallest L in 0, 1, 2, 4, ..., 2^60 with both tail integrals <= eps."""
+    L = 0.0
     while L <= _TAIL_SEARCH_CAP:
-        candidates.append(L)
-        L *= 2.0
-    for L in candidates:
         mass = integrate_lower_tail(fn, -L)
         moment = integrate_lower_tail(lambda x: np.asarray(x) ** 2 * np.asarray(fn(x)), -L)
         if mass <= trunc_eps and moment <= trunc_eps:
-            return TruncationRecord("", L, mass, moment)
-    return None
+            return TruncationRecord(edge_id, L, mass, moment)
+        L = max(1.0, 2.0 * L)
+    raise ValueError(
+        f"edge {edge_id!r}: no cutoff below 2^60 keeps tail integrals under {trunc_eps}"
+        " (is the weight a valid Kahler weight?)"
+    )
 
 
 def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float) -> Mesh:
@@ -115,13 +115,7 @@ def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float) 
     truncations = []
     for e in curve.sorted_edges():
         if e.infinite:
-            rec = _tail_cutoff(g.weights[e.id], trunc_eps)
-            if rec is None:
-                raise ValueError(
-                    f"edge {e.id!r}: no cutoff below 2^60 keeps tail integrals under {trunc_eps}"
-                    " (is the weight a valid Kahler weight?)"
-                )
-            rec = TruncationRecord(e.id, rec.cutoff, rec.tail_mass, rec.tail_second_moment)
+            rec = _tail_cutoff(e.id, g.weights[e.id], trunc_eps)
             truncations.append(rec)
             length = rec.cutoff
             if length == 0.0:
@@ -580,77 +574,41 @@ class StarNeighborhood:
     reach: float
 
 
-class _Cumulative:
-    """Vectorized antiderivative F(x) = integral from anchor to x.
+_PANEL_NODES, _PANEL = 16, 0.125  # Gauss-Legendre panels of the antiderivatives below
+_TAIL_REACH = 48.0  # a tail antiderivative sums its panels over [a - 48, a]
 
-    A fixed fine Gauss-Legendre panel mesh between the anchor and the
-    upper end is summed into prefix values once; queries combine the
-    prefix with one partial-panel quadrature, batched over the query
-    points.
+
+def _antiderivative(fn, lo: float, hi: float, sign: int, domain, c=None, below=None) -> EdgeFunction:
+    """sign * (F(x) + c) with F(x) the integral of fn from lo to x.
+
+    c defaults to -F(hi).  A fixed fine panel mesh on [lo, hi] is summed
+    into prefix values once; a query adds one partial-panel quadrature,
+    batched over the points.  Points below lo take below(x) instead.  The
+    derivative is exactly sign * fn.
     """
+    n = max(2, int(math.ceil((hi - lo) / _PANEL)))
+    bounds = np.linspace(lo, hi, n + 1)
+    values, _, wi, half = panel_samples(fn, bounds[:-1], bounds[1:], _PANEL_NODES)
+    prefix = np.concatenate([[0.0], np.cumsum((values @ wi) * half)])
 
-    NODES = 16
-    PANEL = 0.125
+    def F(x):
+        x = np.clip(x, lo, hi)
+        idx = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, n - 1)
+        values, _, wi, half = panel_samples(fn, bounds[idx], x, _PANEL_NODES)
+        return prefix[idx] + (values @ wi) * half
 
-    def __init__(self, fn, lo: float, hi: float):
-        self.fn = fn
-        self.lo = lo
-        self.hi = hi
-        n = max(2, int(math.ceil((hi - lo) / self.PANEL)))
-        self.bounds = np.linspace(lo, hi, n + 1)
-        values, _, wi, half = panel_samples(fn, self.bounds[:-1], self.bounds[1:], self.NODES)
-        panel_integrals = (values @ wi) * half
-        self.prefix = np.concatenate([[0.0], np.cumsum(panel_integrals)])
-
-    def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        x = np.clip(x, self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.bounds, x, side="right") - 1, 0, len(self.bounds) - 2)
-        lo = self.bounds[idx]
-        base = self.prefix[idx]
-        values, _, wi, half = panel_samples(self.fn, lo, x, self.NODES)
-        return base + (values @ wi) * half
-
-
-def _tail_psi(fn_omega, p: int, a: float, domain) -> EdgeFunction:
-    reach = 48.0
-    cumulative = _Cumulative(fn_omega, a - reach, a)
-    if p == 0:
-        # psi(x) = -int_x^a omega = F(x) - F(a) with F anchored at a - reach
-        offset = float(cumulative(np.array([a]))[0])
-
-        def value(x):
-            x = np.asarray(x, dtype=float)
-            deep = x < a - reach
-            out = cumulative(x) - offset
-            if np.any(deep):
-                flat = np.atleast_1d(out)
-                for i in np.nonzero(np.atleast_1d(deep))[0]:
-                    xi_val = float(np.atleast_1d(x)[i])
-                    flat[i] = -integrate_finite(fn_omega, xi_val, a)
-                out = flat
-            return out if np.ndim(x) else float(np.atleast_1d(out)[0])
-
-        deriv = EdgeFunction(fn_omega, None, None, domain)
-        return EdgeFunction(value, lambda: deriv, None, domain)
-
-    # p = 1: psi(x) = -int_{-inf}^x omega
-    anchor = a - reach
-    head = integrate_lower_tail(fn_omega, anchor)
+    if c is None:
+        c = -float(F(np.array([hi]))[0])
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        out = -(head + cumulative(x))
-        deep = np.atleast_1d(x) < anchor
-        if np.any(deep):
-            flat = np.atleast_1d(out)
-            xv = np.atleast_1d(x)
-            for i in np.nonzero(deep)[0]:
-                flat[i] = -integrate_lower_tail(fn_omega, float(xv[i]))
-            out = flat
-        return out if np.ndim(x) else float(np.atleast_1d(out)[0])
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = sign * (F(xs) + c)
+        if below is not None:
+            for i in np.flatnonzero(xs < lo):
+                out[i] = below(float(xs[i]))
+        return out if np.ndim(x) else float(out[0])
 
-    deriv = EdgeFunction(lambda x: -np.asarray(fn_omega(x)), None, None, domain)
+    deriv = EdgeFunction(lambda x: sign * fn(x), None, None, domain)
     return EdgeFunction(value, lambda: deriv, None, domain)
 
 
@@ -661,7 +619,8 @@ def solve_dbar_local(omega: Superform, g: KahlerForm, neighborhood) -> Superform
     psi(x) = -int_x^a omega(t) dt, for (1,1) input
     psi(x) = -int_{-inf}^x omega(t) dt.  On a vertex star the per-leg
     antiderivatives vanish at the vertex, so continuity respectively
-    Kirchhoff's law holds exactly.
+    Kirchhoff's law holds exactly.  Each leg is solved in its
+    vertex-local chart and read back through the chart reversal.
     """
     if omega.bidegree.q != 1:
         raise ValueError("solve_dbar_local inverts d'' on forms of bidegree (p,1)")
@@ -672,60 +631,32 @@ def solve_dbar_local(omega: Superform, g: KahlerForm, neighborhood) -> Superform
         e = curve.edge(neighborhood.edge)
         if not e.infinite:
             raise ValueError(f"edge {e.id!r} is finite; tail neighborhoods live on infinite edges")
-        fn = omega.coefficients[e.id]
-        domain = (-math.inf, neighborhood.a)
-        psi = _tail_psi(fn, p, neighborhood.a, domain)
+        fn, a = omega.coefficients[e.id], neighborhood.a
+        lo, domain = a - _TAIL_REACH, (-math.inf, a)
+        if p == 0:
+            psi = _antiderivative(fn, lo, a, 1, domain, below=lambda x: -integrate_finite(fn, x, a))
+        else:
+            psi = _antiderivative(fn, lo, a, -1, domain, integrate_lower_tail(fn, lo),
+                                  lambda x: -integrate_lower_tail(fn, x))
         return Superform(Bidegree(p, 0), {e.id: psi})
 
     if not isinstance(neighborhood, StarNeighborhood):
         raise TypeError("neighborhood must be a TailNeighborhood or a StarNeighborhood")
 
-    v = neighborhood.vertex
     reach = neighborhood.reach
-    ends = curve.edge_ends_at(v)
+    ends = curve.edge_ends_at(neighborhood.vertex)
     shortest = min((e.length for e, _ in ends if not e.infinite), default=math.inf)
     if reach <= 0 or reach > shortest:
         raise ValueError(f"star reach must lie in (0, {shortest}]")
-    coeffs = {}
+    coeffs, sign = {}, (-1) ** p  # d'' of a (1,0)-form is -f' d'x^d''x
     for e, side in ends:
         if e.tail == e.head:
             raise NotImplementedError("vertex stars with self-loops are not supported")
         fn = omega.coefficients[e.id]
         if side == "head":
-            local_omega = fn
-            lo, hi = -reach, 0.0
+            coeffs[e.id] = _antiderivative(fn, -reach, 0.0, sign, (-reach, 0.0))
         else:
-            length = e.length
-            sign_in = -1.0 if (p, 1) == (0, 1) else 1.0
-
-            def local_from_canonical(t, fn=fn, length=length, sign_in=sign_in):
-                return sign_in * np.asarray(fn(-length - np.asarray(t, dtype=float)))
-
-            local_omega = local_from_canonical
-            lo, hi = -reach, 0.0
-
-        cumulative = _Cumulative(local_omega, lo, hi)
-        total = float(cumulative(np.array([hi]))[0])
-        sign_psi = 1.0 if p == 1 else -1.0
-
-        def psi_local(t, cumulative=cumulative, total=total, sign_psi=sign_psi):
-            # int_t^0 omega = F(0) - F(t)
-            return sign_psi * (total - cumulative(t))
-
-        if side == "head":
-            def raw(x, psi_local=psi_local):
-                return psi_local(x)
-            domain = (max(-reach, -e.length), 0.0) if not e.infinite else (-reach, 0.0)
-        else:
-            sign_out = -1.0 if p == 1 else 1.0
-
-            def raw(x, psi_local=psi_local, length=e.length, sign_out=sign_out):
-                return sign_out * np.asarray(psi_local(-length - np.asarray(x, dtype=float)))
-            domain = (-e.length, -e.length + reach)
-
-        def value(x, raw=raw):
-            out = raw(x)
-            return out if np.ndim(x) else float(np.atleast_1d(out)[0])
-
-        coeffs[e.id] = EdgeFunction(value, None, None, domain)
+            local = _antiderivative(fn.reversed_chart(e.length, -sign), -reach, 0.0, sign, (-reach, 0.0))
+            coeffs[e.id] = local.reversed_chart(e.length, sign)
+            coeffs[e.id].domain = (-e.length, -e.length + reach)
     return Superform(Bidegree(p, 0), coeffs)

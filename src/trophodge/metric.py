@@ -258,19 +258,9 @@ def codifferential(form: Superform, g: KahlerForm) -> Superform:
 def laplacian(form: Superform, g: KahlerForm) -> Superform:
     """Laplace-Beltrami operator d''d''* + d''*d'' by composition.
 
-    One summand always vanishes for dimensional reasons; vanished
-    branches are dropped so the result keeps the input bidegree.
+    One summand always vanishes for dimensional reasons, so the live one
+    is returned: d''*d'' on q=0 forms and d''d''* on q=1 forms.
     """
-    parts = []
-    d = d_second(form)
-    if not d.vanishes_dimensionally:
-        parts.append(codifferential(d, g))
-    cd = codifferential(form, g)
-    if not cd.vanishes_dimensionally:
-        parts.append(d_second(cd))
-    if not parts:
-        return Superform.zero_like(form)
-    if len(parts) == 1:
-        return Superform(form.bidegree, parts[0].coefficients)
-    summed = {eid: parts[0].coefficients[eid] + parts[1].coefficients[eid] for eid in parts[0].coefficients}
-    return Superform(form.bidegree, summed)
+    if form.bidegree.q == 0:
+        return codifferential(d_second(form), g)
+    return d_second(codifferential(form, g))

@@ -144,13 +144,8 @@ def integrate_lower_tail(f, c: float) -> float:
 
 
 def integrate_upper_tail(f, c: float) -> float:
-    """Integral of f over [c, +inf) via the substitution u = exp(-(x - c))."""
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(f(c - np.log(u)), dtype=float) / u
-
-    return _integrate_unit_graded(h)
+    """Integral of f over [c, +inf): the lower tail of f(-x) at -c."""
+    return integrate_lower_tail(lambda x: f(-x), -c)
 
 
 def integrate_interval(f, a: float, b: float) -> float:

@@ -95,13 +95,11 @@ class EdgeFunction:
         derivative_factory: Callable[[], "EdgeFunction"] | None = None,
         tail_bound: float | None = None,
         domain: tuple[float, float] = (NEG_INF, 0.0),
-        constant_value=None,
     ):
         self._value = value
         self._derivative_factory = derivative_factory
         self.tail_bound = tail_bound
         self.domain = (float(domain[0]), float(domain[1]))
-        self.constant_value = constant_value
         self._product_of = None  # set by __mul__ / divide for exact cancellation
         self._quotient_of = None
 
@@ -120,7 +118,6 @@ class EdgeFunction:
             derivative_factory=lambda: cls.constant(0.0, domain),
             tail_bound=0.0,
             domain=domain,
-            constant_value=value if isinstance(value, Fraction) else c,
         )
 
     @classmethod
@@ -182,15 +179,12 @@ class EdgeFunction:
         return min(self.tail_bound, other.tail_bound)
 
     def __neg__(self) -> "EdgeFunction":
-        out = EdgeFunction(
+        return EdgeFunction(
             lambda x: -self._value(x),
             derivative_factory=lambda: -self.derivative(),
             tail_bound=self.tail_bound,
             domain=self.domain,
         )
-        if self.constant_value is not None:
-            out.constant_value = -self.constant_value
-        return out
 
     def __add__(self, other) -> "EdgeFunction":
         other = self._coerce(other)
@@ -238,15 +232,12 @@ class EdgeFunction:
 
     def scale(self, c: float) -> "EdgeFunction":
         c = float(c)
-        out = EdgeFunction(
+        return EdgeFunction(
             lambda x: c * self._value(x),
             derivative_factory=lambda: self.derivative().scale(c),
             tail_bound=self.tail_bound,
             domain=self.domain,
         )
-        if self.constant_value is not None:
-            out.constant_value = c * float(self.constant_value)
-        return out
 
     def _coerce(self, other) -> "EdgeFunction":
         if isinstance(other, EdgeFunction):
@@ -299,13 +290,7 @@ class Superform:
             elif isinstance(fn, (int, float, Fraction)):
                 fn = EdgeFunction.constant(fn, e.chart)
             elif isinstance(fn, EdgeFunction):
-                fn = EdgeFunction(
-                    fn._value,
-                    fn._derivative_factory,
-                    fn.tail_bound,
-                    e.chart,
-                    fn.constant_value,
-                )
+                fn = EdgeFunction(fn._value, fn._derivative_factory, fn.tail_bound, e.chart)
             else:
                 raise TypeError(f"bad coefficient for edge {e.id!r}: {fn!r}")
             out[e.id] = fn

@@ -69,15 +69,13 @@ def _radial_bounds(domain: AnnulusDomain, depth: int, splits: int) -> np.ndarray
 def annulus_integral(form, domain: AnnulusDomain) -> float:
     """Two-dimensional polar integral of the image of f d'x^d''x.
 
-    ``form`` is the coefficient f: an EdgeFunction, a callable, or a
-    (1,1) Superform with a single coefficient.  The integrand
-    f(log|z|) / (2 pi |z|) is sampled at genuine complex points
+    ``form`` is the coefficient f: an EdgeFunction or a callable.  The
+    integrand f(log|z|) / (2 pi |z|) is sampled at genuine complex points
     z = r e^{i theta}; the angular trapezoid has a fixed node count so
     that an implementation error breaking rotational invariance would
     show up as a residual, and the radial refinement doubles until two
     levels agree.
     """
-    f = _coefficient_callable(form)
     theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
     phases = np.exp(1j * theta)
     angular_weight = 2.0 * math.pi / ANGULAR_NODES
@@ -93,7 +91,7 @@ def annulus_integral(form, domain: AnnulusDomain) -> float:
         radii = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
         z = radii[:, None] * phases[None, :]
         magnitudes = np.abs(z)
-        values = np.asarray(f(np.log(magnitudes.ravel())), dtype=float).reshape(magnitudes.shape)
+        values = np.asarray(form(np.log(magnitudes.ravel())), dtype=float).reshape(magnitudes.shape)
         integrand = values / (2.0 * math.pi * magnitudes)
         radial_profile = integrand.sum(axis=1) * angular_weight
         radial_profile = radial_profile.reshape(len(lo), len(xi))
@@ -102,20 +100,9 @@ def annulus_integral(form, domain: AnnulusDomain) -> float:
     return _refine(level_value, TOL_INFINITE)
 
 
-def _coefficient_callable(form):
-    if isinstance(form, Superform):
-        if form.bidegree.as_tuple() != (1, 1):
-            raise ValueError("annulus integration expects a (1,1) coefficient")
-        if len(form.coefficients) != 1:
-            raise ValueError("pass the single-edge coefficient, not a multi-edge form")
-        return next(iter(form.coefficients.values()))
-    return form
-
-
 def tropical_interval_integral(form, a: float, b: float) -> float:
     """One-dimensional tropical integral of the coefficient over (a, b)."""
-    f = _coefficient_callable(form)
-    return integrate_interval(f, a, b)
+    return integrate_interval(form, a, b)
 
 
 def compare_tropical_complex(form, interval: tuple[float, float], tol: float = 1e-6) -> dict:

@@ -28,7 +28,7 @@ from trophodge.discrete import (
 from trophodge.exact import nullspace
 from trophodge.metric import KahlerForm
 from trophodge.quadrature import integrate_finite, integrate_lower_tail
-from trophodge.superform import Bidegree, EdgeFunction, Superform, is_regular
+from trophodge.superform import Bidegree, EdgeFunction, Superform, d_second, is_regular
 
 LN2 = math.log(2.0)
 
@@ -683,6 +683,41 @@ def test_dbar_vertex_star_continuity_for_functions():
     # both end values vanish at the vertex, so continuity holds exactly
     assert float(psi.coefficients["ab"](0.0)) == 0.0  # head end at B
     assert float(psi.coefficients["bc"](-1.0)) == 0.0  # tail end at B
+
+
+def test_dbar_tail_below_the_summed_panels():
+    # below a - 48 the antiderivative is one quadrature per point
+    tp1 = curves.projective_line()
+    g = KahlerForm.fubini_study(tp1)
+    fn = EdgeFunction.from_expression("(0.3-0.2*x)*exp(x)", domain=(-math.inf, 0.0))
+    a = -1.5
+    deep = a - np.array([48.5, 60.0, 100.0])
+    expected = {
+        0: [-integrate_finite(fn, float(x), a) for x in deep],
+        1: [-integrate_lower_tail(fn, float(x)) for x in deep],
+    }
+    for p in (0, 1):
+        psi = solve_dbar_local(Superform(Bidegree(p, 1), {"left": fn}), g, TailNeighborhood("left", a))
+        coeff = psi.coefficients["left"]
+        assert [coeff(float(x)) for x in deep] == expected[p]
+        mixed = np.asarray(coeff(np.concatenate([[a - 1.0], deep])))
+        assert mixed[1:].tolist() == expected[p]
+        assert mixed[0] == coeff(a - 1.0)
+
+
+def test_dbar_vertex_star_has_the_exact_derivative():
+    tri = curves.triangle()
+    g = KahlerForm.constant(tri, 1.0)
+    for p in (0, 1):
+        omega = Superform.on_curve(tri, (p, 1), {"ab": "1+x", "bc": "x^2", "ca": "2"})
+        for vertex, reach in (("A", 0.5), ("B", 0.25), ("C", 1.0)):
+            psi = solve_dbar_local(omega, g, StarNeighborhood(vertex, reach))
+            dpsi = d_second(psi)
+            assert dpsi.bidegree == omega.bidegree
+            for eid, fn in psi.coefficients.items():
+                xs = np.linspace(*fn.domain, 33)[1:-1]
+                residual = np.asarray(dpsi.coefficients[eid](xs)) - np.asarray(omega.coefficients[eid](xs))
+                assert np.max(np.abs(residual)) <= 1e-14
 
 
 def test_dbar_rejects_wrong_bidegree_and_bad_reach():
