@@ -113,22 +113,30 @@ def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float) 
         raise ValueError("h and trunc_eps must be positive")
     nodes = {}
     truncations = []
+    collapsed = []
     for e in curve.sorted_edges():
         if e.infinite:
             rec = _tail_cutoff(e.id, g.weights[e.id], trunc_eps)
             truncations.append(rec)
             length = rec.cutoff
             if length == 0.0:
-                warnings.warn(
-                    f"edge {e.id!r}: truncation threshold exceeds the whole tail; "
-                    "the edge degenerates to its head vertex"
-                )
+                collapsed.append(e.id)
                 nodes[e.id] = np.array([0.0])
                 continue
         else:
             length = e.length
         n = max(1, int(math.ceil(length / h - 1e-12)))
         nodes[e.id] = np.linspace(-length, 0.0, n + 1)
+    if collapsed and len(collapsed) == len(nodes):
+        raise ValueError(
+            f"truncation at trunc_eps={trunc_eps!r} collapses every leg ({', '.join(collapsed)}) "
+            "to its head vertex; no element remains"
+        )
+    for edge_id in collapsed:
+        warnings.warn(
+            f"edge {edge_id!r}: truncation threshold exceeds the whole tail; "
+            "the edge degenerates to its head vertex"
+        )
     return Mesh(curve, h, trunc_eps, nodes, tuple(truncations))
 
 
@@ -601,12 +609,12 @@ def _antiderivative(fn, lo: float, hi: float, sign: int, domain, c=None, below=N
         c = -float(F(np.array([hi]))[0])
 
     def value(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        xs = np.asarray(x, dtype=float).ravel()
         out = sign * (F(xs) + c)
         if below is not None:
             for i in np.flatnonzero(xs < lo):
                 out[i] = below(float(xs[i]))
-        return out if np.ndim(x) else float(out[0])
+        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     deriv = EdgeFunction(lambda x: sign * fn(x), None, None, domain)
     return EdgeFunction(value, lambda: deriv, None, domain)
@@ -645,6 +653,10 @@ def solve_dbar_local(omega: Superform, g: KahlerForm, neighborhood) -> Superform
 
     reach = neighborhood.reach
     ends = curve.edge_ends_at(neighborhood.vertex)
+    legs = [e.id for e, side in ends if e.infinite and side == "tail"]
+    if legs:
+        raise ValueError(f"vertex {neighborhood.vertex!r} is the point at -inf of leg {legs[0]!r}; "
+                         "its neighborhood is a TailNeighborhood")
     shortest = min((e.length for e, _ in ends if not e.infinite), default=math.inf)
     if reach <= 0 or reach > shortest:
         raise ValueError(f"star reach must lie in (0, {shortest}]")

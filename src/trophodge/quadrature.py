@@ -7,6 +7,10 @@ onto (0, 1] and integrated on a geometrically graded panel mesh toward
 u = 0; the grading absorbs the logarithmic factors that second moments
 introduce, and deepening the grading is the refinement step.
 
+Levels 0 and 1 share one call of the integrand and each deeper level
+is one more; every level is summed over its own panels, so values
+equal level-by-level ones.  Panel meshes are cached read-only.
+
 Divergence is declared when four successive refinements fail to
 contract by a factor of two; integrands like a constant weight on an
 infinite edge then fail deterministically instead of stabilizing.
@@ -67,20 +71,41 @@ def panel_samples(f, lo: np.ndarray, hi: np.ndarray, n: int):
     return values, xi, wi, half
 
 
-def _panels_value(f, bounds: np.ndarray) -> float:
-    """Composite GL over the panels given by consecutive bounds."""
-    values, _, wi, half = panel_samples(f, bounds[:-1], bounds[1:], NODES_PER_PANEL)
+def _panel_grid(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flattened nodes and half-widths of the panels between
+    consecutive bounds: the panel samples of the identity."""
+    nodes, _, _, half = panel_samples(lambda x: x, bounds[:-1], bounds[1:], NODES_PER_PANEL)
+    nodes = nodes.ravel()
+    nodes.flags.writeable = half.flags.writeable = False
+    return nodes, half
+
+
+def _levels_values(f, grids) -> list[float]:
+    """Composite GL on each (nodes, half) grid from one call of f on all their nodes."""
+    values = np.asarray(f(np.concatenate([nodes for nodes, _ in grids])), dtype=float)
     if not np.all(np.isfinite(values)):
         raise DivergenceError("integrand is not finite on the quadrature grid")
-    return float(np.sum((values @ wi) * half))
+    _, wi = gauss_legendre(NODES_PER_PANEL)
+    sums, start = [], 0
+    for nodes, half in grids:
+        rows = values[start:start + nodes.size].reshape(half.size, NODES_PER_PANEL)
+        sums.append(float(np.sum((rows @ wi) * half)))
+        start += nodes.size
+    return sums
 
 
-def _refine(level_value, tol: float) -> float:
-    previous = level_value(0)
+def _refine(values, tol: float) -> float:
+    """The first level that agrees with its predecessor within tol.
+
+    values(levels) returns the integral at each level of the tuple from
+    one call of the integrand; levels 0 and 1 are asked for together.
+    """
+    previous, current = values((0, 1))
     stall = 0
     last_diff = None
     for k in range(1, MAX_REFINEMENTS + 1):
-        current = level_value(k)
+        if k > 1:
+            previous, (current,) = current, values((k,))
         diff = abs(current - previous)
         if diff <= tol:
             return current
@@ -94,10 +119,14 @@ def _refine(level_value, tol: float) -> float:
             else:
                 stall = 0
         last_diff = diff
-        previous = current
     raise DivergenceError(
         f"no stabilization within {MAX_REFINEMENTS} refinements (last change {last_diff!r})"
     )
+
+
+@lru_cache(maxsize=64)
+def _finite_grid(a: float, b: float, n: int):
+    return _panel_grid(np.linspace(a, b, n + 1))
 
 
 def integrate_finite(f, a: float, b: float) -> float:
@@ -108,29 +137,30 @@ def integrate_finite(f, a: float, b: float) -> float:
         return 0.0
     base = max(MIN_PANELS, int(math.ceil(abs(b - a) * PANELS_PER_UNIT)))
 
-    def level_value(k: int) -> float:
-        return _panels_value(f, np.linspace(a, b, base * 2**k + 1))
+    def values(levels):
+        return _levels_values(f, [_finite_grid(a, b, base * 2**k) for k in levels])
 
-    return _refine(level_value, TOL_FINITE)
+    return _refine(values, TOL_FINITE)
 
 
-def _graded_unit_bounds(depth: int, splits: int) -> np.ndarray:
-    """Panel bounds on [0, 1]: octaves [2^-j-1, 2^-j] each split evenly,
-    plus the closing panel [0, 2^-depth]."""
+@lru_cache(maxsize=32)
+def _tail_grid(depth: int, splits: int):
+    """Panels on [0, 1]: octaves [2^-j-1, 2^-j] each split evenly, plus
+    the closing panel [0, 2^-depth]."""
     bounds = [0.0]
     for j in range(depth, 0, -1):
         lo, hi = 2.0 ** -j, 2.0 ** -(j - 1)
         step = (hi - lo) / splits
         bounds.extend(lo + i * step for i in range(splits))
     bounds.append(1.0)
-    return np.asarray(bounds)
+    return _panel_grid(np.asarray(bounds))
 
 
 def _integrate_unit_graded(h) -> float:
-    def level_value(k: int) -> float:
-        return _panels_value(h, _graded_unit_bounds(TAIL_LEVELS + 2 * k, 1 + k // 2))
+    def values(levels):
+        return _levels_values(h, [_tail_grid(TAIL_LEVELS + 2 * k, 1 + k // 2) for k in levels])
 
-    return _refine(level_value, TOL_INFINITE)
+    return _refine(values, TOL_INFINITE)
 
 
 def integrate_lower_tail(f, c: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import TropicalCurve
 from .metric import KahlerForm
-from .quadrature import NODES_PER_PANEL, TAIL_LEVELS, TOL_INFINITE, _refine, gauss_legendre, integrate_interval
+from .quadrature import TAIL_LEVELS, TOL_INFINITE, _levels_values, _panel_grid, _refine, integrate_interval
 from .superform import Superform
 
 __all__ = [
@@ -79,25 +79,18 @@ def annulus_integral(form, domain: AnnulusDomain) -> float:
     theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
     phases = np.exp(1j * theta)
     angular_weight = 2.0 * math.pi / ANGULAR_NODES
-    xi, wi = gauss_legendre(NODES_PER_PANEL)
 
-    def level_value(k: int) -> float:
-        depth = TAIL_LEVELS + 2 * k
-        splits = 2 + k
-        bounds = _radial_bounds(domain, depth, splits)
-        lo, hi = bounds[:-1], bounds[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        radii = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
+    def radial_profile(radii):
         z = radii[:, None] * phases[None, :]
         magnitudes = np.abs(z)
         values = np.asarray(form(np.log(magnitudes.ravel())), dtype=float).reshape(magnitudes.shape)
-        integrand = values / (2.0 * math.pi * magnitudes)
-        radial_profile = integrand.sum(axis=1) * angular_weight
-        radial_profile = radial_profile.reshape(len(lo), len(xi))
-        return float(np.sum((radial_profile @ wi) * half))
+        return (values / (2.0 * math.pi * magnitudes)).sum(axis=1) * angular_weight
 
-    return _refine(level_value, TOL_INFINITE)
+    def values(levels):
+        grids = [_panel_grid(_radial_bounds(domain, TAIL_LEVELS + 2 * k, 2 + k)) for k in levels]
+        return _levels_values(radial_profile, grids)
+
+    return _refine(values, TOL_INFINITE)
 
 
 def tropical_interval_integral(form, a: float, b: float) -> float:

@@ -65,11 +65,21 @@ def test_truncation_of_fubini_study_tail():
 
 
 def test_degenerate_truncation_warns():
+    legs = curves.triangle_with_legs()
+    g = KahlerForm.from_spec(legs, {"legA": {"kind": "expr", "formula": "0.000000001*exp(2*x)"}})
+    with pytest.warns(UserWarning, match="degenerates"):
+        mesh = build_mesh(legs, g, 0.25, 1e-4)
+    assert len(mesh.nodes["legA"]) == 1
+    assert len(mesh.nodes["legB"]) > 1
+
+
+def test_truncation_that_leaves_no_element_is_rejected():
     tp1 = curves.projective_line()
     g = KahlerForm.fubini_study(tp1)
-    with pytest.warns(UserWarning, match="degenerates"):
-        mesh = build_mesh(tp1, g, 0.25, 5.0)
-    assert len(mesh.nodes["left"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning before the error
+        with pytest.raises(ValueError, match=r"trunc_eps=5\.0 collapses every leg \(left, right\)"):
+            build_mesh(tp1, g, 0.25, 5.0)
 
 
 def test_mesh_rejects_bad_parameters():
@@ -164,6 +174,18 @@ def multigraphs(draw):
     return curve, KahlerForm.from_spec(curve, spec)
 
 
+def _mesh_unless_all_collapsed(curve, g, h):
+    """build_mesh at trunc_eps 1e-4, or None when truncation collapses
+    every edge, which build_mesh must reject."""
+    if all(e.infinite and discrete._tail_cutoff(e.id, g.weights[e.id], 1e-4).cutoff == 0.0 for e in curve.edges):
+        with pytest.raises(ValueError, match="no element remains"):
+            build_mesh(curve, g, h, 1e-4)
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a collapsed leg warns
+        return build_mesh(curve, g, h, 1e-4)
+
+
 def _scatter_reference(system, g):
     """Stiffness and mass built one element at a time, in the order
     a-a, b-b, a-b, b-a, skipping DOFs eliminated by truncation."""
@@ -206,9 +228,9 @@ def _same_csr(a, b):
 @given(multigraphs(), st.sampled_from([1 / 2, 1 / 3]))
 def test_kirchhoff_elimination_closed_form(case, h):
     curve, g = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the collapsed leg warns
-        mesh = build_mesh(curve, g, h, 1e-4)
+    mesh = _mesh_unless_all_collapsed(curve, g, h)
+    if mesh is None:
+        return
     for bidegree in ((0, 0), (1, 0)):
         system = assemble(mesh, curve, g, bidegree)
         K, M = _scatter_reference(system, g)
@@ -362,18 +384,14 @@ def test_ambiguous_kernel_is_reported(monkeypatch):
 
 def _check_against_dense(curve, g, h):
     """spectrum and kernel agree with a dense eigensolve of the reduced pencil."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a collapsed leg warns
-        mesh = build_mesh(curve, g, h, 1e-4)
+    mesh = _mesh_unless_all_collapsed(curve, g, h)
+    if mesh is None:
+        return
     for bidegree in ((0, 0), (1, 0)):
         system = assemble(mesh, curve, g, bidegree)
         _, A, B = discrete._reduced_pencil(system)
         n = A.shape[0]
         if n == 0:
-            continue
-        if not np.all(B.diagonal() > 0):  # a vertex whose every edge collapsed carries no mass
-            with pytest.raises(AmbiguousKernelError):
-                kernel(system)
             continue
         A, B = A.toarray(), B.toarray()
         plain = scipy.linalg.eigh(A, B, eigvals_only=True)
@@ -718,6 +736,31 @@ def test_dbar_vertex_star_has_the_exact_derivative():
                 xs = np.linspace(*fn.domain, 33)[1:-1]
                 residual = np.asarray(dpsi.coefficients[eid](xs)) - np.asarray(omega.coefficients[eid](xs))
                 assert np.max(np.abs(residual)) <= 1e-14
+
+
+def test_dbar_rejects_a_star_at_the_end_of_a_leg():
+    legs = curves.triangle_with_legs()
+    g = KahlerForm.from_spec(legs, None)
+    omega = Superform.on_curve(legs, (1, 1), {"legA": "exp(2*x)"})
+    with pytest.raises(ValueError, match="TailNeighborhood"):
+        solve_dbar_local(omega, g, StarNeighborhood("LA", 0.5))
+
+
+def test_dbar_coefficients_evaluate_elementwise_on_any_shape():
+    tp1 = curves.projective_line()
+    g = KahlerForm.fubini_study(tp1)
+    tail_points = np.array([[-0.5, -3.0], [-60.0, -1.0]])  # one point below the summed panels
+    legs = curves.triangle_with_legs()
+    cases = [(p, solve_dbar_local(Superform.on_curve(tp1, (p, 1), {"left": "exp(2*x)"}), g,
+                                  TailNeighborhood("left", 0.0)).coefficients["left"], tail_points)
+             for p in (0, 1)]
+    star = solve_dbar_local(Superform.on_curve(legs, (1, 1), {"ab": "1+x", "legA": "exp(2*x)"}),
+                            KahlerForm.from_spec(legs, None), StarNeighborhood("A", 0.5))
+    cases.append(("star", star.coefficients["ab"], np.array([[-0.9, -0.7], [-0.6, -1.0]])))
+    for label, coeff, points in cases:
+        values = np.asarray(coeff(points))
+        assert values.shape == points.shape, label
+        assert values.tolist() == np.asarray(coeff(points.ravel())).reshape(points.shape).tolist(), label
 
 
 def test_dbar_rejects_wrong_bidegree_and_bad_reach():

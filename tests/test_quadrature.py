@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trophodge import quadrature
 from trophodge.quadrature import (
     DivergenceError,
     gauss_legendre,
@@ -11,6 +12,63 @@ from trophodge.quadrature import (
     integrate_lower_tail,
     integrate_upper_tail,
 )
+
+FS = lambda x: 2 * np.exp(2 * np.asarray(x)) / (1 + np.exp(2 * np.asarray(x))) ** 2
+
+
+# -- a level-by-level reference: one integrand call per refinement level ----
+
+def reference_refine(level_value, tol):
+    """The refinement rule, calling level_value(k) once per level."""
+    previous, stall, last_diff = level_value(0), 0, None
+    for k in range(1, quadrature.MAX_REFINEMENTS + 1):
+        current = level_value(k)
+        diff = abs(current - previous)
+        if diff <= tol:
+            return current
+        if last_diff is not None:
+            stall = stall + 1 if diff > 0.5 * last_diff else 0
+            if stall >= 4:
+                raise DivergenceError("stalled")
+        last_diff, previous = diff, current
+    raise DivergenceError("no stabilization")
+
+
+def _reference_panels(f, bounds):
+    values, _, wi, half = quadrature.panel_samples(f, bounds[:-1], bounds[1:], quadrature.NODES_PER_PANEL)
+    assert np.all(np.isfinite(values))
+    return float(np.sum((values @ wi) * half))
+
+
+def _reference_finite(f, a, b):
+    base = max(quadrature.MIN_PANELS, int(math.ceil(abs(b - a) * quadrature.PANELS_PER_UNIT)))
+    return reference_refine(lambda k: _reference_panels(f, np.linspace(a, b, base * 2**k + 1)),
+                            quadrature.TOL_FINITE)
+
+
+def _reference_lower_tail(f, c):
+    def h(u):
+        return np.asarray(f(c + np.log(u)), dtype=float) / u
+
+    def level_value(k):
+        depth, splits = quadrature.TAIL_LEVELS + 2 * k, 1 + k // 2
+        bounds = [0.0]
+        for j in range(depth, 0, -1):
+            lo, hi = 2.0 ** -j, 2.0 ** -(j - 1)
+            step = (hi - lo) / splits
+            bounds.extend(lo + i * step for i in range(splits))
+        return _reference_panels(h, np.asarray(bounds + [1.0]))
+
+    return reference_refine(level_value, quadrature.TOL_INFINITE)
+
+
+class _Counted:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
 
 
 def test_gauss_legendre_exactness():
@@ -68,3 +126,52 @@ def test_divergence_of_nonintegrable_pole():
 def test_zero_width_interval():
     assert integrate_finite(lambda x: np.asarray(x) ** 2, 1.0, 1.0) == 0.0
 
+
+
+def test_fused_levels_match_the_level_by_level_reference_bitwise():
+    finite = [(lambda x: x**3 - x, -2.0, 0.0), (lambda x: np.sin(7 * np.asarray(x)), 0.0, math.pi),
+              (lambda x: np.exp(np.asarray(x)) * np.cos(40 * np.asarray(x)), -1.5, 2.0)]
+    for f, a, b in finite:
+        assert integrate_finite(f, a, b) == _reference_finite(f, a, b)
+    tails = [(FS, 0.0), (FS, -8.0), (lambda x: np.asarray(x) ** 2 * FS(x), 0.0),
+             (lambda x: np.exp(0.8 * np.asarray(x)), 0.0)]  # slow decay: levels up to 9, 5 splits
+    for f, c in tails:
+        assert integrate_lower_tail(f, c) == _reference_lower_tail(f, c)
+
+
+def test_one_integrand_call_when_level_one_converges():
+    for integrate, f, args in ((integrate_finite, lambda x: x**3 - x, (-2.0, 0.0)),
+                               (integrate_lower_tail, FS, (0.0,))):
+        counted = _Counted(f)
+        integrate(counted, *args)
+        assert counted.calls == 1
+
+
+def test_each_deeper_level_is_one_more_call():
+    power = lambda x: np.asarray(x) ** 1.5  # the endpoint singularity needs level 5
+    fused, per_level = _Counted(power), _Counted(power)
+    assert integrate_finite(fused, 0.0, 1.0) == _reference_finite(per_level, 0.0, 1.0)
+    assert per_level.calls > 3 and fused.calls == per_level.calls - 1
+
+
+def test_non_finite_value_at_level_one_only_diverges():
+    level0 = quadrature._finite_grid(0.0, 1.0, 2)[0]
+    level1 = quadrature._finite_grid(0.0, 1.0, 4)[0]
+    spike = next(x for x in level1 if x not in level0)
+    f = lambda x: np.where(np.asarray(x) == spike, np.nan, 1.0)
+    with pytest.raises(DivergenceError, match="not finite on the quadrature grid"):
+        integrate_finite(f, 0.0, 1.0)
+
+
+def test_constant_on_tail_divergence_message():
+    with pytest.raises(DivergenceError) as info:
+        integrate_lower_tail(lambda x: np.ones_like(np.asarray(x, dtype=float)), 0.0)
+    assert str(info.value) == "4 successive refinements failed to contract (last change 1.386e+00)"
+
+
+def test_cached_grids_are_read_only():
+    for nodes, half in (quadrature._finite_grid(-1.0, 0.0, 2), quadrature._tail_grid(quadrature.TAIL_LEVELS, 1)):
+        for array in (nodes, half):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0

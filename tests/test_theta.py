@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trophodge import curves
+from test_quadrature import reference_refine
+from trophodge import curves, quadrature, theta
 from trophodge.metric import KahlerForm, validate_kahler
 from trophodge.superform import EdgeFunction, evaluate, is_regular
 from trophodge.theta import (
@@ -91,3 +92,33 @@ def test_fubini_study_is_kahler_but_not_regular():
     g = KahlerForm(tp1, dict(form.coefficients))
     assert validate_kahler(tp1, g).passed
     assert not is_regular(form, tp1).passed
+
+
+def _reference_annulus(form, domain):
+    """The annulus integral with one integrand call per radial level."""
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, theta.ANGULAR_NODES, endpoint=False))
+    xi, wi = quadrature.gauss_legendre(quadrature.NODES_PER_PANEL)
+
+    def level_value(k):
+        bounds = theta._radial_bounds(domain, quadrature.TAIL_LEVELS + 2 * k, 2 + k)
+        half, mid = 0.5 * (bounds[1:] - bounds[:-1]), 0.5 * (bounds[1:] + bounds[:-1])
+        magnitudes = np.abs((mid[:, None] + half[:, None] * xi[None, :]).ravel()[:, None] * phases[None, :])
+        values = np.asarray(form(np.log(magnitudes.ravel())), dtype=float).reshape(magnitudes.shape)
+        profile = (values / (2.0 * math.pi * magnitudes)).sum(axis=1) * (2.0 * math.pi / theta.ANGULAR_NODES)
+        return float(np.sum((profile.reshape(len(half), len(xi)) @ wi) * half))
+
+    return reference_refine(level_value, quadrature.TOL_INFINITE)
+
+
+@pytest.mark.parametrize("source, domain", [
+    ("1", (0.0, 1.0)),
+    ("x^2", (-1.0, 0.5)),
+    ("2*exp(2*x)/(1+exp(2*x))^2", (-math.inf, 0.0)),
+    ("2*exp(2*x)/(1+exp(2*x))^2", (-math.inf, math.inf)),
+])
+def test_annulus_levels_match_the_level_by_level_reference_bitwise(source, domain):
+    form, domain = fn(source), AnnulusDomain(*domain)
+    fused, per_level = [], []
+    value = annulus_integral(lambda x: fused.append(1) or form(x), domain)
+    assert value == _reference_annulus(lambda x: per_level.append(1) or form(x), domain)
+    assert len(fused) == len(per_level) - 1  # levels 0 and 1 share one call
