@@ -4,8 +4,9 @@ Subcommands: validate, genus, harmonic, spectrum, verify, theta.  Every
 command reads a curve-spec JSON document and emits a JSON report to
 stdout or --out FILE; spectra can additionally be dumped as CSV.  Exit
 codes: 0 on success, 1 when a verification check fails, 2 on input
-errors or when the eigensolver cannot certify a result (with a
-machine-readable error object on stderr).
+errors or when the eigensolver cannot certify a result, 3 on any other
+exception (an InternalError); codes 2 and 3 come with a
+machine-readable error object on stderr.
 
 Reports are byte-deterministic for fixed inputs and seeds; per-check
 timings are zeroed unless --timings is given.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 
 from . import checks as checks_module
 from .curve import CurveError, genus, parse_document, validate
@@ -104,6 +106,9 @@ def run(argv=None) -> int:
     except (DivergenceError, AmbiguousKernelError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        _emit_error("InternalError", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
+        return 3
 
 
 def _dispatch(args) -> int:

@@ -221,6 +221,11 @@ def _tokenize(text: str):
 
 
 MAX_EXPONENT = 1024
+# eval, diff and to_source recurse per tree level, the parser per nesting
+# level; both stay far below the recursion limit.  The k-th derivative of a
+# quotient chain visits about depth^(k+1) nodes; MAX_NODES bounds wide trees.
+MAX_DEPTH = 32
+MAX_NODES = 256
 
 
 class _Parser:
@@ -228,6 +233,15 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, pos):
+        if self.depth == MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -273,10 +287,10 @@ class _Parser:
                 return node
 
     def unary(self) -> Expression:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, pos))
         return self.power()
 
     def power(self) -> Expression:
@@ -308,7 +322,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            m = self.exponent()
+            m = self.nested(self.exponent, pos)
             if m < 0 and abs(n) != 1:
                 raise ExpressionError(f"exponent {n}^{m} is not an integer", pos)
             n = n ** abs(m)  # an int, and for n = +-1 equal to n ** m
@@ -327,13 +341,13 @@ class _Parser:
                 return Var()
             if value == "exp":
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr, pos)
                 self.expect_op(")")
                 return Exp(arg)
             raise ExpressionError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect_op(")")
             return node
         raise ExpressionError(f"expected a value, found {value!r}" if value else "unexpected end of input", pos)
@@ -342,13 +356,24 @@ class _Parser:
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an expression tree.
 
-    Raises ExpressionError with the byte offset of the first problem.
+    Raises ExpressionError with the byte offset of the first problem, or
+    offset 0 for a tree deeper than MAX_DEPTH or larger than MAX_NODES.
     """
-    return _Parser(text).parse()
+    tree = _Parser(text).parse()
+    nodes, stack = 0, [(tree, 1)]
+    while stack:  # no recursion: a long '+' chain is as deep as it is long
+        node, level = stack.pop()
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise ExpressionError(f"expression has more than {MAX_NODES} nodes", 0)
+        if level > MAX_DEPTH:
+            raise ExpressionError(f"expression tree is deeper than {MAX_DEPTH} levels", 0)
+        stack.extend((c, level + 1) for c in vars(node).values() if isinstance(c, Expression))
+    return tree
 
 
 def to_source(node: Expression) -> str:
-    """Print a tree back to grammar source (round-trips through the parser)."""
+    """Print a tree back to grammar source; it reparses while it nests at most MAX_DEPTH deep."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):

@@ -5,10 +5,11 @@ Kirchhoff flows that vanish on infinite edges: on an infinite edge a
 d''-closed coefficient is constant, regularity at infinity forces it to
 vanish near -inf, and square-integrability rules out any other constant.
 So the basis is the rational nullspace of the incidence matrix
-restricted to finite-edge columns.  The (0,0) space is the constants,
-and the Hodge star carries both to the complementary bidegrees: the
-(0,1) basis is the starred (1,0) basis and the (1,1) space is spanned
-by the Kahler form itself.
+restricted to finite-edge columns, kept as integer flows; Superforms are
+built from them only when HarmonicBasis.forms is read.  The (0,0) space
+is the constants, and the Hodge star carries both to the complementary
+bidegrees: the (0,1) basis is the starred (1,0) basis, with the same
+flows, and the (1,1) space is spanned by the Kahler form itself.
 
 cech_cohomology assembles the finite Cech complex of the vertex-star
 cover.  For the locally constant sheaf a star section is one real and
@@ -35,14 +36,23 @@ __all__ = ["HarmonicBasis", "harmonic_basis", "betti", "cech_cohomology"]
 
 @dataclass(frozen=True)
 class HarmonicBasis:
+    """Exact per-edge constants of a harmonic basis; forms builds its Superforms on each read."""
+
     bidegree: Bidegree
-    forms: tuple[Superform, ...]
-    exact_coefficients: tuple[dict, ...] | None
+    exact_coefficients: tuple[dict, ...] | None  # {edge id: Fraction} per element, 0 where absent
     provenance: str
+    curve: TropicalCurve
+    g: KahlerForm | None = None  # (1,1) only, whose one element is the Kahler form
 
     @property
     def dimension(self) -> int:
-        return len(self.forms)
+        return 1 if self.exact_coefficients is None else len(self.exact_coefficients)
+
+    @property
+    def forms(self) -> tuple[Superform, ...]:
+        if self.exact_coefficients is None:
+            return (self.g.as_superform(),)
+        return tuple(Superform.on_curve(self.curve, self.bidegree, c) for c in self.exact_coefficients)
 
     def as_dict(self) -> dict:
         if self.exact_coefficients is None:
@@ -67,11 +77,7 @@ def _flow_basis(curve: TropicalCurve) -> list[dict]:
     finite_cols = [inc.edge_ids.index(eid) for eid in finite_ids]
     restricted = [[row[j] for j in finite_cols] for row in inc.matrix]
     kernel = nullspace(restricted, n_cols=len(finite_ids))
-    basis = []
-    for vec in kernel:
-        ints = integerize(vec)
-        basis.append({eid: Fraction(c) for eid, c in zip(finite_ids, ints)})
-    return basis
+    return [{eid: Fraction(c) for eid, c in zip(finite_ids, integerize(vec))} for vec in kernel]
 
 
 def harmonic_basis(curve: TropicalCurve, g: KahlerForm | None, bidegree) -> HarmonicBasis:
@@ -83,17 +89,14 @@ def harmonic_basis(curve: TropicalCurve, g: KahlerForm | None, bidegree) -> Harm
     bd = bidegree if isinstance(bidegree, Bidegree) else Bidegree(*bidegree)
     if bd.as_tuple() == (0, 0):
         coeffs = {e.id: Fraction(1) for e in curve.sorted_edges()}
-        form = Superform.on_curve(curve, bd, coeffs)
-        return HarmonicBasis(bd, (form,), (coeffs,), "constants")
+        return HarmonicBasis(bd, (coeffs,), "constants", curve)
     if bd.as_tuple() in ((1, 0), (0, 1)):
         # (0,1) is the star of the (1,0) basis: f d'x -> f d''x, coefficients unchanged
-        tables = _flow_basis(curve)
-        forms = tuple(Superform.on_curve(curve, bd, t) for t in tables)
         provenance = "incidence-nullspace" if bd.as_tuple() == (1, 0) else "star-dual"
-        return HarmonicBasis(bd, forms, tuple(tables), provenance)
+        return HarmonicBasis(bd, tuple(_flow_basis(curve)), provenance, curve)
     if g is None:
         raise ValueError("the (1,1) harmonic basis is the Kahler form; pass g")
-    return HarmonicBasis(bd, (g.as_superform(),), None, "star-dual")
+    return HarmonicBasis(bd, None, "star-dual", curve, g)
 
 
 def betti(curve: TropicalCurve, q: int) -> int:

@@ -214,6 +214,29 @@ def test_overcounted_rank_turns_scalar_dimensions_red(monkeypatch):
     assert statuses["hodge-scalar-dimensions"] == "fail"
 
 
+def test_duplicated_flow_turns_star_duality_red(monkeypatch):
+    flow_basis = harmonic._flow_basis
+    monkeypatch.setattr(harmonic, "_flow_basis", lambda curve: flow_basis(curve)[:1] + flow_basis(curve))
+    statuses = _hodge_statuses(curves.theta_graph())
+    assert statuses["hodge-star-duality"] == "fail"
+
+
+@pytest.mark.parametrize("factory", [curves.triangle, curves.triangle_with_legs])
+def test_hodge_suite_builds_no_superform_and_one_flow_basis(monkeypatch, factory):
+    curve = factory()
+    g = KahlerForm.from_spec(curve, None)
+    flow_basis = harmonic._flow_basis
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hodge suite built a Superform")
+
+    monkeypatch.setattr(Superform, "on_curve", refuse)
+    monkeypatch.setattr(harmonic, "_flow_basis", lambda c: calls.append(c) or flow_basis(c))
+    assert check_hodge_theorem(curve, g).passed
+    assert len(calls) == 1
+
+
 def test_check_star_identities_with_fubini_study_tails():
     legs = curves.triangle_with_legs()
     g = KahlerForm.from_spec(legs, None)

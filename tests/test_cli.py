@@ -218,13 +218,16 @@ SPLIT_AXIS_NEGATIVE = {
         (_triangle_doc(kahler={"ab": {"kind": "expr"}}), "KahlerError"),
         (_triangle_doc(kahler={"ab": {"kind": "constant"}}), "KahlerError"),
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "x^0^-1"}}), "ExpressionError"),
+        (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "(" * 3000 + "1" + ")" * 3000}}), "ExpressionError"),
+        (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "+".join(["1"] * 200_000)}}), "ExpressionError"),
         (_triangle_doc(kahler={"abx": {"kind": "constant", "value": -5}}), "KahlerError"),
         (SPLIT_AXIS_NEGATIVE, "KahlerError"),
         (_triangle_doc(id=7), "CurveError"),
         (_triangle_doc(tail=["A"]), "CurveError"),
     ],
     ids=["kahler-list", "kahler-entry-number", "expr-no-formula", "constant-no-value",
-         "zero-to-negative-power", "key-names-no-edge", "key-names-split-edge", "numeric-id", "list-tail"],
+         "zero-to-negative-power", "nested-3000-deep", "sum-of-200000", "key-names-no-edge", "key-names-split-edge",
+         "numeric-id", "list-tail"],
 )
 def test_malformed_documents_give_typed_errors(tmp_path, capsys, doc, kind):
     path = tmp_path / "malformed.json"
@@ -264,6 +267,22 @@ def test_module_entry_points(theta_file, bad_file):
                          env=env, capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2
     assert json.loads(bad.stderr)["error"]["kind"] == "CurveError"
+
+
+def test_unexpected_exception_is_an_internal_error(theta_file, monkeypatch, capsys):
+    from trophodge import cli
+
+    def failing(curve):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "genus", failing)
+    assert run(["genus", theta_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "InternalError"
+    assert error["message"] == "RuntimeError: boom"
+    assert "in failing" in error["traceback"]
 
 
 def test_spectrum_solver_giving_up_is_a_typed_error(triangle_file, monkeypatch, capsys):

@@ -777,16 +777,48 @@ def test_kernel_spans_match_exact_bases_at_fine_mesh():
     from trophodge.checks import _principal_angle
     from trophodge.harmonic import harmonic_basis
 
-    for factory in (curves.triangle, curves.theta_graph, curves.k4):
+    # triangle_with_legs has truncated (1,0) DOFs, marked -1 in the DOF map
+    for factory in (curves.triangle, curves.theta_graph, curves.k4, curves.triangle_with_legs):
         curve = factory()
-        g = KahlerForm.constant(curve, 1.0)
+        g = KahlerForm.from_spec(curve, None)  # weight 1 on finite edges, Fubini-Study on legs
         mesh = build_mesh(curve, g, 1 / 64, 1e-4)
         for bidegree in ((1, 0), (0, 0)):
             system = assemble(mesh, curve, g, bidegree)
             spectral = kernel(system)
             exact = harmonic_basis(curve, g, bidegree)
-            angle = _principal_angle(system, spectral, list(exact.forms))
+            angle = _principal_angle(system, spectral, exact)
             assert angle <= 1e-6
+
+
+def _principal_angle_over_forms(system, spectral, forms):
+    """Reference: the angle with X filled by evaluating each form on each edge's nodes."""
+    X = np.zeros((system.dof_map.n_dofs, len(forms)))
+    for j, form in enumerate(forms):
+        for eid, coords in system.mesh.nodes.items():
+            dofs = system.dof_map.edge_dofs[eid]
+            kept = dofs >= 0
+            X[dofs[kept], j] = np.asarray(form.coefficients[eid](coords), dtype=float)[kept]
+    U, M = spectral.vectors, system.mass
+    MU = M @ U
+    X = X @ np.linalg.inv(np.linalg.cholesky(X.T @ (M @ X)).T)
+    cosines = scipy.linalg.svdvals(X.T @ MU)
+    return float(np.arccos(np.clip(cosines.min(), -1.0, 1.0)))
+
+
+def test_principal_angle_equals_the_form_loop_bit_for_bit():
+    from trophodge.checks import _principal_angle
+    from trophodge.harmonic import harmonic_basis
+
+    for factory in (curves.theta_graph, curves.k4, curves.triangle_with_legs):
+        curve = factory()
+        g = KahlerForm.from_spec(curve, None)
+        mesh = build_mesh(curve, g, 1 / 16, 1e-4)
+        for bidegree in ((1, 0), (0, 0)):
+            system = assemble(mesh, curve, g, bidegree)
+            spectral = kernel(system)
+            basis = harmonic_basis(curve, g, bidegree)
+            assert _principal_angle(system, spectral, basis) == _principal_angle_over_forms(
+                system, spectral, basis.forms)
 
 
 def test_stiffness_positive_semidefinite_mass_positive_definite():

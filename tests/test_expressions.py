@@ -62,6 +62,21 @@ def test_exponent_must_be_a_bounded_integer(source):
         parse_expression(source)
 
 
+def test_nesting_and_size_bounds():
+    from trophodge.expressions import MAX_DEPTH, MAX_NODES
+
+    balanced = ["x"]  # balanced[k] is a full binary sum with 2^(k+1) - 1 nodes
+    while 2 ** len(balanced) <= MAX_NODES + 1:
+        balanced.append(f"({balanced[-1]}+{balanced[-1]})")
+    parse_expression("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+    parse_expression("*".join(["x"] * MAX_DEPTH))  # a left-deep tree MAX_DEPTH levels deep
+    parse_expression(balanced[-2])
+    for source in ["(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), "-" * (MAX_DEPTH + 1) + "x",
+                   "*".join(["x"] * (MAX_DEPTH + 1)), balanced[-1]]:
+        with pytest.raises(ExpressionError):
+            parse_expression(source)
+
+
 def test_round_trip_through_printer():
     sources = [
         "2*exp(2*x)/(1+exp(2*x))^2",
