@@ -23,6 +23,7 @@ from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel
 from .exact import rank
 from .harmonic import betti, cech_cohomology, harmonic_basis
 from .metric import FUBINI_STUDY_SOURCE, KahlerForm, hodge_star, inner_product, integrate, laplacian
+from .quadrature import DivergenceError
 from .superform import Bidegree, EdgeFunction, Superform, d_second, is_regular, wedge
 
 __all__ = [
@@ -44,6 +45,8 @@ __all__ = [
 _TAIL_WINDOW_BOUND = -8.0 * math.log(2.0)
 # tail mass and second moment left beyond the cut of an infinite edge
 TRUNC_EPS = 1e-4
+DEGREE = 3  # of the test forms' polynomial coefficients on finite edges
+DECAY = "exp(2*x)/(1+exp(2*x))"  # decays at -inf like the Fubini-Study weight
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,10 @@ def band_window(rise: tuple[float, float], fall: tuple[float, float], domain) ->
     return out
 
 
-def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int,
-                       degree: int = 3) -> list[Superform]:
+def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) -> list[Superform]:
     """Seeded random regular superforms.
 
-    Finite edges carry polynomial coefficients of degree <= ``degree``;
+    Finite edges carry polynomial coefficients of degree <= ``DEGREE``;
     infinite edges carry a windowed linear coefficient (plus a constant
     for (0,0) forms, which only need to be eventually constant).  The
     vertex conditions are enforced by the minimum-norm least-squares
@@ -146,60 +148,42 @@ def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int,
     bd = bidegree if isinstance(bidegree, Bidegree) else Bidegree(*bidegree)
     if bd.as_tuple() not in ((0, 0), (1, 0)):
         raise ValueError("test families are generated in bidegrees (0,0) and (1,0)")
+    scalar = int(bd.as_tuple() == (0, 0))
     rng = np.random.default_rng(seed)
     finite = curve.finite_edges()
     infinite = curve.infinite_edges()
 
-    # coefficient slots: finite edge -> degree+1 or window slots on infinite
-    slots: list[tuple[str, str, int]] = []
-    for e in finite:
-        for k_power in range(degree + 1):
-            slots.append((e.id, "poly", k_power))
-    for e in infinite:
-        if bd.as_tuple() == (0, 0):
-            slots.append((e.id, "const", 0))
-        slots.append((e.id, "win", 0))
-        slots.append((e.id, "win", 1))
-    index = {key: i for i, key in enumerate(slots)}
-    n = len(slots)
-
-    def window_bound(e) -> float:
-        return _TAIL_WINDOW_BOUND if e.infinite else -e.length / 2.0
+    # each edge's coefficients run from start[e.id]: DEGREE + 1 polynomial
+    # ones on a finite edge; on an infinite one the constant of a (0,0)
+    # form, then the windowed linear pair
+    start = {}
+    n = 0
+    for e in finite + infinite:
+        start[e.id] = n
+        n += 2 + scalar if e.infinite else DEGREE + 1
 
     def end_value_row(e, side) -> np.ndarray:
         """Coefficient-vector functional for the canonical end value."""
         row = np.zeros(n)
+        s = start[e.id]
         if not e.infinite:
             x0 = 0.0 if side == "head" else -e.length
-            for k_power in range(degree + 1):
-                row[index[(e.id, "poly", k_power)]] = x0**k_power
+            row[s:s + DEGREE + 1] = [x0**k_power for k_power in range(DEGREE + 1)]
         else:
-            # window equals 1 at the head; the tail end is at -inf
-            if bd.as_tuple() == (0, 0):
-                row[index[(e.id, "const", 0)]] = 1.0
-            row[index[(e.id, "win", 0)]] = 1.0
+            # the window equals 1 at the head; the tail end is at -inf
+            row[s:s + 1 + scalar] = 1.0
         return row
 
     rows = []
-    if bd.as_tuple() == (1, 0):
-        for v in curve.sorted_vertices():
-            if curve.degree(v) < 2:
-                continue
-            row = np.zeros(n)
-            for e, side in curve.edge_ends_at(v):
-                if e.infinite and side == "tail":
-                    continue
-                sign = 1.0 if side == "head" else -1.0
-                row += sign * end_value_row(e, side)
-            rows.append(row)
-    else:
-        for v in curve.sorted_vertices():
-            ends = [(e, s) for e, s in curve.edge_ends_at(v) if not (e.infinite and s == "tail")]
-            if len(ends) < 2:
-                continue
+    for v in curve.sorted_vertices():
+        ends = [(e, s) for e, s in curve.edge_ends_at(v) if not (e.infinite and s == "tail")]
+        if len(ends) < 2:
+            continue
+        if scalar:  # continuity: every end value equals the first
             reference = end_value_row(*ends[0])
-            for e, side in ends[1:]:
-                rows.append(end_value_row(e, side) - reference)
+            rows += [end_value_row(e, side) - reference for e, side in ends[1:]]
+        else:  # Kirchhoff: the signed end values sum to zero
+            rows.append(sum((1.0 if side == "head" else -1.0) * end_value_row(e, side) for e, side in ends))
 
     A = np.asarray(rows) if rows else np.zeros((0, n))
 
@@ -211,18 +195,15 @@ def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int,
             a = a - correction
         coeffs = {}
         for e in finite:
-            poly = [a[index[(e.id, "poly", k_power)]] for k_power in range(degree + 1)]
-            coeffs[e.id] = EdgeFunction.polynomial(poly, domain=e.chart)
+            s = start[e.id]
+            coeffs[e.id] = EdgeFunction.polynomial(a[s:s + DEGREE + 1], domain=e.chart)
         for e in infinite:
-            b = window_bound(e)
-            window = _smoothstep_window(b, e.chart)
-            linear = EdgeFunction.polynomial(
-                [a[index[(e.id, "win", 0)]], a[index[(e.id, "win", 1)]]], domain=e.chart
-            )
-            fn = linear * window
-            if bd.as_tuple() == (0, 0):
-                fn = fn + EdgeFunction.constant(a[index[(e.id, "const", 0)]], e.chart)
-            fn.tail_bound = b
+            s = start[e.id] + scalar
+            linear = EdgeFunction.polynomial(a[s:s + 2], domain=e.chart)
+            fn = linear * _smoothstep_window(_TAIL_WINDOW_BOUND, e.chart)
+            if scalar:
+                fn = fn + EdgeFunction.constant(a[s - 1], e.chart)
+            fn.tail_bound = _TAIL_WINDOW_BOUND
             coeffs[e.id] = fn
         forms.append(Superform(bd, coeffs))
     return forms
@@ -232,15 +213,13 @@ def _default_tol(curve: TropicalCurve) -> float:
     return 1e-7 if curve.infinite_edges() else 1e-8
 
 
-def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
-                 tol: float | None = None, seed: int | None = None) -> CheckReport:
+def check_stokes(curve: TropicalCurve, forms: list[Superform], seed: int = 0) -> CheckReport:
     """Vanishing of the total d'' integral, plus the bilinear form of it.
 
     Rejects non-regular inputs; partners for the bilinear identity are a
     seeded regular (0,0) family of matching size.
     """
-    tol = _default_tol(curve) if tol is None else tol
-    report = CheckReport(seed=seed)
+    report = CheckReport()
     start = time.perf_counter()
     worst = 0.0
     for form in forms:
@@ -253,12 +232,12 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
         "stokes-closed",
         "the integral of d'' of a regular (1,0) form vanishes",
         worst,
-        tol,
+        _default_tol(curve),
         time.perf_counter() - start,
     )
 
     start = time.perf_counter()
-    partners = regular_test_forms(curve, (0, 0), len(forms), 7919 if seed is None else seed + 7919)
+    partners = regular_test_forms(curve, (0, 0), len(forms), seed + 7919)
     worst = 0.0
     for phi, psi in zip(forms, partners):
         lhs = integrate(curve, wedge(d_second(phi), psi))
@@ -268,25 +247,26 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], g: KahlerForm,
         "stokes-bilinear",
         "d'' moves across the wedge of (1,0) and (0,0) forms with sign +1",
         worst,
-        tol,
+        _default_tol(curve),
         time.perf_counter() - start,
     )
     return report
 
 
-def check_integration_by_parts(curve: TropicalCurve, psi: Superform, phi: Superform,
-                               g: KahlerForm, tol: float | None = None) -> CheckReport:
-    """| int d''psi ^ phi + int psi ^ d''phi | for one weakly differentiable pair."""
-    tol = _default_tol(curve) if tol is None else tol
+def check_integration_by_parts(curve: TropicalCurve, pairs: list[tuple[Superform, Superform]]) -> CheckReport:
+    """Largest | int d''psi ^ phi + int psi ^ d''phi | over weakly differentiable pairs (psi, phi)."""
     report = CheckReport()
     start = time.perf_counter()
-    lhs = integrate(curve, wedge(d_second(psi), phi))
-    rhs = integrate(curve, wedge(psi, d_second(phi)))
+    worst = 0.0
+    for psi, phi in pairs:
+        lhs = integrate(curve, wedge(d_second(psi), phi))
+        rhs = integrate(curve, wedge(psi, d_second(phi)))
+        worst = max(worst, abs(lhs + rhs))
     report.add(
         "integration-by-parts",
         "pairing of d'' against a weakly differentiable partner is antisymmetric",
-        abs(lhs + rhs),
-        tol,
+        worst,
+        _default_tol(curve),
         time.perf_counter() - start,
     )
     return report
@@ -295,22 +275,19 @@ def check_integration_by_parts(curve: TropicalCurve, psi: Superform, phi: Superf
 def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superform]:
     """A weakly differentiable (0,0)/(1,0) pair, decaying on infinite edges.
 
-    Infinite edges carry multiples of E(x) = exp(2x)/(1+exp(2x)), which
-    decays like the Fubini-Study weight, so the pair exercises the tail
-    estimates without being regular at infinity.  Vertex values are
+    Infinite edges carry multiples of ``DECAY``, so the pair exercises the
+    tail estimates without being regular at infinity.  Vertex values are
     matched for continuity; the (1,0) end values are projected onto the
     Kirchhoff constraints.
     """
     rng = np.random.default_rng(seed)
-    decay = "exp(2*x)/(1+exp(2*x))"
-
     vertex_value = {v: rng.uniform(-1.0, 1.0) for v in curve.sorted_vertices()}
     psi_coeffs = {}
     for e in curve.sorted_edges():
         if e.infinite:
             amp = rng.uniform(-1.0, 1.0)
             shift = vertex_value[e.head] - amp * 0.5
-            fn = EdgeFunction.from_expression(decay, domain=e.chart).scale(amp)
+            fn = EdgeFunction.from_expression(DECAY, domain=e.chart).scale(amp)
             psi_coeffs[e.id] = fn + EdgeFunction.constant(shift, e.chart)
         else:
             head, tail = vertex_value[e.head], vertex_value[e.tail]
@@ -329,7 +306,7 @@ def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superf
         coeffs = dict(phi.coefficients)
         for e in curve.infinite_edges():
             end = float(coeffs[e.id](0.0))
-            coeffs[e.id] = EdgeFunction.from_expression(decay, domain=e.chart).scale(2.0 * end)
+            coeffs[e.id] = EdgeFunction.from_expression(DECAY, domain=e.chart).scale(2.0 * end)
         phi = Superform(Bidegree(1, 0), coeffs)
     return psi, phi
 
@@ -361,8 +338,9 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
 
     genus = topological betti_1 = exact (1,0) nullspace dimension =
     Cech H^0 of the closed-(1,0) sheaf = discrete (1,0) kernel at each
-    mesh size; the (0,0) and (1,1) dimensions equal 1; the Hodge star
-    pairs dimensions; the discrete kernels span the exact bases.
+    mesh size; Cech H^1 of that sheaf, Cech H^0 of the constants and the
+    discrete (0,0) kernels equal 1; the Hodge star pairs dimensions; the
+    discrete kernels span the exact bases.
     """
     report = CheckReport()
     start = time.perf_counter()
@@ -373,8 +351,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     angle = 0.0
     ambiguous = False
     basis00 = harmonic_basis(curve, g, (0, 0))
-    basis11 = harmonic_basis(curve, g, (1, 1))
-    scalar_values = [basis00.dimension, basis11.dimension, cech_omega[1], cech_const[0]]
+    scalar_values = [cech_omega[1], cech_const[0]]
     for h in h_list:
         try:
             mesh = build_mesh(curve, g, h, TRUNC_EPS)
@@ -404,10 +381,11 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
         0.0,
         status="ambiguous" if ambiguous else None,
     )
-    # the star takes f d'x to f d''x: the starred flows are the flows' coefficient rows
+    # the star takes f d'x to f d''x: the starred flows are the flows' coefficient rows;
+    # the (0,0) and (1,1) dimensions are Cech H^0 of the constants and H^1 of omega1
     duality = max(
         abs(rank([list(c.values()) for c in basis10.exact_coefficients]) - basis10.dimension),
-        abs(basis11.dimension - basis00.dimension),
+        abs(cech_omega[1] - cech_const[0]),
     )
     report.add(
         "hodge-star-duality",
@@ -445,10 +423,9 @@ def _sup_difference(curve, form_a, form_b) -> float:
 
 def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
     """Smooth forms with exact derivative chains for the star identities."""
-    decay = "exp(2*x)/(1+exp(2*x))"
     coeff_sets = [
-        {"finite": "1", "infinite": decay},
-        {"finite": "x^2-0.5*x", "infinite": f"(1+x)*({decay})^2"},
+        {"finite": "1", "infinite": DECAY},
+        {"finite": "x^2-0.5*x", "infinite": f"(1+x)*({DECAY})^2"},
         {"finite": "exp(x)*(1+x)", "infinite": f"x*exp(2*x)/(1+exp(2*x))^2"},
     ]
     forms = []
@@ -461,7 +438,7 @@ def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
     return forms
 
 
-def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7) -> CheckReport:
+def check_star_identities(curve: TropicalCurve, g: KahlerForm) -> CheckReport:
     """Star involution sign, star isometry, star/Laplacian commutation."""
     report = CheckReport()
     families = {(p, q): _star_family(curve, (p, q)) for p, q in ((0, 0), (1, 0), (0, 1), (1, 1))}
@@ -484,19 +461,28 @@ def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7
 
     start = time.perf_counter()
     worst = 0.0
-    for family in families.values():
+    divergent = []
+    for (p, q), family in families.items():
         for i in range(len(family)):
             for j in range(i, len(family)):
-                direct = inner_product(family[i], family[j], g)
-                starred = inner_product(hodge_star(family[i], g), hodge_star(family[j], g), g)
+                try:
+                    direct = inner_product(family[i], family[j], g)
+                    starred = inner_product(hodge_star(family[i], g), hodge_star(family[j], g), g)
+                except DivergenceError:
+                    divergent.append(f"({p},{q}) {i}-{j}")
+                    continue
                 worst = max(worst, abs(direct - starred))
     report.add(
         "star-isometry",
         "the star preserves the scalar product",
         worst,
-        tol,
+        1e-7,
         time.perf_counter() - start,
+        status="fail" if divergent else None,
     )
+    if divergent:
+        report.notes.append(f"star-isometry fails: the scalar products of the test form pairs {', '.join(divergent)} "
+                            "diverge; its residual covers the other pairs")
 
     start = time.perf_counter()
     worst = 0.0
@@ -509,7 +495,7 @@ def check_star_identities(curve: TropicalCurve, g: KahlerForm, tol: float = 1e-7
         "star-laplacian-commutation",
         "the star commutes with the Laplace-Beltrami operator",
         worst,
-        tol,
+        1e-7,
         time.perf_counter() - start,
     )
 
@@ -522,7 +508,7 @@ def _laplacian_formula_note(curve: TropicalCurve, g: KahlerForm) -> str:
     Laplacian sits from the operator composition -(f/g)'', which is what
     this package computes.  The discrepancy is reported, never absorbed."""
     coeffs = {
-        e.id: EdgeFunction.from_expression("exp(2*x)/(1+exp(2*x))", domain=e.chart)
+        e.id: EdgeFunction.from_expression(DECAY, domain=e.chart)
         for e in curve.sorted_edges()
     }
     form = Superform(Bidegree(1, 1), coeffs)
@@ -543,8 +529,9 @@ def _laplacian_formula_note(curve: TropicalCurve, g: KahlerForm) -> str:
     )
 
 
-def check_theta_correspondence(tol: float = 1e-6) -> CheckReport:
+def check_theta_correspondence() -> CheckReport:
     """Tropical integrals match the two-dimensional annulus integrals."""
+    tol = 1e-6
     report = CheckReport()
     cases = [
         ("theta-constant", EdgeFunction.from_expression("1", domain=(-math.inf, math.inf)), (0.0, 1.0)),
@@ -573,21 +560,9 @@ def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=
     """All verification suites on one curve, run in a fixed order."""
     report = CheckReport(seed=seed)
     forms = regular_test_forms(curve, (1, 0), form_count, seed)
-    report.extend(check_stokes(curve, forms, g, seed=seed))
-
-    worst = 0.0
-    for k in range(form_count):
-        psi, phi = energy_test_pair(curve, seed + 1000 + k)
-        sub = check_integration_by_parts(curve, psi, phi, g)
-        worst = max(worst, sub.checks[0].residual)
-    report.add(
-        "integration-by-parts",
-        "pairing of d'' against a weakly differentiable partner is antisymmetric",
-        worst,
-        _default_tol(curve),
-        0.0,
-    )
-
+    report.extend(check_stokes(curve, forms, seed))
+    pairs = [energy_test_pair(curve, seed + 1000 + k) for k in range(form_count)]
+    report.extend(check_integration_by_parts(curve, pairs))
     report.extend(check_hodge_theorem(curve, g, h_list))
     report.extend(check_star_identities(curve, g))
     report.extend(check_theta_correspondence())

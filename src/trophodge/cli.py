@@ -21,12 +21,12 @@ import traceback
 from . import checks as checks_module
 from .curve import CurveError, genus, parse_document, validate
 from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel, spectrum
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError
 from .harmonic import harmonic_basis
 from .metric import KahlerError, KahlerForm
 from .quadrature import DivergenceError
 
-__all__ = ["main", "run", "parse_expression"]
+__all__ = ["main", "run"]
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:

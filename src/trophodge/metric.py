@@ -150,16 +150,6 @@ class KahlerValidationReport:
     def failures(self) -> list[str]:
         return [f"edge {eid} {name}: {detail}" for eid, name, ok, detail in self.entries if not ok]
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "total_mass": self.total_mass,
-            "entries": [
-                {"edge": eid, "check": name, "passed": ok, "detail": detail}
-                for eid, name, ok, detail in self.entries
-            ],
-        }
-
 
 def _positivity_samples(e, depth: int) -> np.ndarray:
     if e.infinite:

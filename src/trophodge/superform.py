@@ -402,14 +402,6 @@ class RegularityReport:
             and all(ok for ok, _ in self.at_infinity.values())
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "continuity": {v: {"passed": ok, "detail": d} for v, (ok, d) in self.continuity.items()},
-            "kirchhoff": {v: {"passed": ok, "residual": r} for v, (ok, r) in self.kirchhoff.items()},
-            "at_infinity": {e: {"passed": ok, "detail": d} for e, (ok, d) in self.at_infinity.items()},
-        }
-
 
 def _tail_entry(fn: EdgeFunction, bidegree: Bidegree, tol: float) -> tuple[bool, str]:
     b = fn.tail_bound

@@ -106,14 +106,13 @@ def test_criterion_3_stokes_and_integration_by_parts():
     ok = True
     for name, factory, _ in SUITE:
         curve = factory()
-        g = KahlerForm.from_spec(curve, None)
         tol = 1e-7 if curve.infinite_edges() else 1e-8
         forms = regular_test_forms(curve, (1, 0), 20, seed=0)
-        stokes = check_stokes(curve, forms, g, tol=tol, seed=0)
+        stokes = check_stokes(curve, forms, seed=0)
         worst_ibp = 0.0
         for k in range(20):
             psi, phi = energy_test_pair(curve, 1000 + k)
-            report = check_integration_by_parts(curve, psi, phi, g, tol=tol)
+            report = check_integration_by_parts(curve, [(psi, phi)])
             worst_ibp = max(worst_ibp, report.checks[0].residual)
         curve_ok = stokes.passed and worst_ibp <= tol
         ok = ok and curve_ok
@@ -128,7 +127,7 @@ def test_criterion_4_hodge_star_identities():
     for name, factory in (("triangle", curves.triangle), ("triangle-with-legs", curves.triangle_with_legs)):
         curve = factory()
         g = KahlerForm.from_spec(curve, None)
-        report = check_star_identities(curve, g, tol=1e-7)
+        report = check_star_identities(curve, g)
         by_id = {c.check_id: c for c in report.checks}
         curve_ok = (
             by_id["star-involution"].residual == 0.0

@@ -53,20 +53,18 @@ def test_band_window_support():
 
 def test_check_stokes_passes_and_rejects_non_regular():
     tri = curves.triangle()
-    g = KahlerForm.constant(tri, 1.0)
     forms = regular_test_forms(tri, (1, 0), 5, seed=1)
-    report = check_stokes(tri, forms, g, seed=1)
+    report = check_stokes(tri, forms, seed=1)
     assert report.passed
     bad = Superform.on_curve(tri, (1, 0), {"ab": 1})  # unbalanced constant flow
     with pytest.raises(ValueError, match="non-regular"):
-        check_stokes(tri, [bad], g)
+        check_stokes(tri, [bad])
 
 
 def test_check_stokes_residual_is_quadrature_level_on_tails():
     tp1 = curves.projective_line()
-    g = KahlerForm.fubini_study(tp1)
     forms = regular_test_forms(tp1, (1, 0), 20, seed=3)
-    report = check_stokes(tp1, forms, g, seed=3)
+    report = check_stokes(tp1, forms, seed=3)
     assert report.passed
     assert max(c.residual for c in report.checks) <= 1e-7
 
@@ -87,7 +85,6 @@ def test_check_integration_by_parts_closed_form_pair():
             Edge("legV", "V", "B", math.inf),
         ),
     )
-    g = KahlerForm.from_spec(path, None)
     decay = "exp(2*x)/(1+exp(2*x))"
     psi = Superform.on_curve(
         path,
@@ -104,7 +101,7 @@ def test_check_integration_by_parts_closed_form_pair():
     # -int psi' phi = +1/2 on mid; -int psi phi' = -1/2 + 1 on mid + legU
     assert lhs == pytest.approx(0.5, abs=1e-9)
     assert rhs == pytest.approx(-0.5, abs=1e-9)
-    report = check_integration_by_parts(path, psi, phi, g)
+    report = check_integration_by_parts(path, [(psi, phi)])
     assert report.passed
     assert report.checks[0].residual <= 1e-9
 
@@ -112,13 +109,43 @@ def test_check_integration_by_parts_closed_form_pair():
 def test_energy_pairs_satisfy_integration_by_parts():
     for factory in (curves.triangle, curves.star, curves.triangle_with_legs):
         curve = factory()
-        g = KahlerForm.from_spec(curve, None)
         worst = 0.0
         for seed in range(5):
             psi, phi = energy_test_pair(curve, seed)
-            report = check_integration_by_parts(curve, psi, phi, g)
+            report = check_integration_by_parts(curve, [(psi, phi)])
             worst = max(worst, report.checks[0].residual)
         assert worst <= 1e-7
+
+
+def test_jumping_psi_turns_integration_by_parts_red():
+    # psi gains c (1 + x/l) on one edge: c at its head, 0 at its tail, so psi
+    # jumps at one vertex and the pairing picks up the boundary term c phi(0)
+    from trophodge.superform import EdgeFunction
+
+    tri = curves.triangle()
+    pairs = [energy_test_pair(tri, seed) for seed in range(3)]
+    assert check_integration_by_parts(tri, pairs).passed
+    edge = tri.edges[0]
+    jump = EdgeFunction.polynomial([0.5, 0.5 / edge.length], domain=edge.chart)
+    psi, phi = pairs[0]
+    jumping = Superform(psi.bidegree, {**psi.coefficients, edge.id: psi.coefficients[edge.id] + jump})
+    report = check_integration_by_parts(tri, pairs + [(jumping, phi)])
+    assert report.checks[0].status == "fail"
+
+
+def test_wrong_sign_of_dbar_on_one_forms_turns_stokes_bilinear_red(monkeypatch):
+    d = checks.d_second
+
+    def flipping(form):
+        out = d(form)
+        return out.map_coefficients(lambda fn: fn.scale(-1.0)) if form.bidegree.as_tuple() == (1, 0) else out
+
+    legs = curves.triangle_with_legs()
+    forms = regular_test_forms(legs, (1, 0), 4, seed=5)
+    assert check_stokes(legs, forms, seed=5).passed
+    monkeypatch.setattr(checks, "d_second", flipping)
+    statuses = {c.check_id: c.status for c in check_stokes(legs, forms, seed=5).checks}
+    assert statuses["stokes-bilinear"] == "fail"
 
 
 def test_check_hodge_theorem_on_theta():
@@ -218,6 +245,14 @@ def test_duplicated_flow_turns_star_duality_red(monkeypatch):
     flow_basis = harmonic._flow_basis
     monkeypatch.setattr(harmonic, "_flow_basis", lambda curve: flow_basis(curve)[:1] + flow_basis(curve))
     statuses = _hodge_statuses(curves.theta_graph())
+    assert statuses["hodge-star-duality"] == "fail"
+
+
+def test_overcounted_cech_omega1_turns_star_duality_red(monkeypatch):
+    # H^1 of the closed-(1,0) sheaf is the (1,1) side of the star pairing
+    cech_omega1 = harmonic._cech_omega1
+    monkeypatch.setattr(harmonic, "_cech_omega1", lambda curve: (cech_omega1(curve)[0], cech_omega1(curve)[1] + 1))
+    statuses = _hodge_statuses(curves.triangle())
     assert statuses["hodge-star-duality"] == "fail"
 
 

@@ -255,6 +255,27 @@ def test_verify_passes_on_legs_of_other_decay_rates(tmp_path, capsys, curve, kah
     assert all(c["status"] == "pass" for c in json.loads(capsys.readouterr().out)["checks"])
 
 
+def test_divergent_star_isometry_is_a_failed_check(tmp_path, capsys):
+    # the weight decays like e^{4x} on leg1, so 1/g outgrows the squared
+    # (1,1) test coefficients there and their scalar products diverge
+    doc = json.loads(serialize(curves.star(4)))
+    doc["kahler"] = {"leg1": {"kind": "expr", "formula": "4*exp(4*x)/(1+exp(4*x))^2"}}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
+    def refuse(name):
+        raise AssertionError(f"report is not strict JSON: {name}")
+
+    report = json.loads(captured.out, parse_constant=refuse)
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert status.pop("star-isometry") == "fail"
+    assert set(status.values()) == {"pass"}
+    assert any(note.startswith("star-isometry fails") and "diverge" in note for note in report["notes"])
+
+
 def test_module_entry_points(theta_file, bad_file):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
