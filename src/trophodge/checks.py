@@ -341,6 +341,12 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     mesh size; Cech H^1 of that sheaf, Cech H^0 of the constants and the
     discrete (0,0) kernels equal 1; the Hodge star pairs dimensions; the
     discrete kernels span the exact bases.
+
+    Two blocks are timed apart: the exact algebra (bases, both Cech
+    computations, the rank of the starred flows) and the meshes and
+    kernels over ``h_list``.  Each id's seconds are the sum of the blocks
+    it reads: both for all but ``hodge-star-duality``, which reads only
+    the exact block, so the four ids' seconds overlap.
     """
     report = CheckReport()
     start = time.perf_counter()
@@ -348,10 +354,19 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
     cech_omega = cech_cohomology(curve, "omega1")
     cech_const = cech_cohomology(curve, "constants")
     values = [genus(curve), betti(curve, 1), basis10.dimension, cech_omega[0], cech_const[1]]
-    angle = 0.0
-    ambiguous = False
     basis00 = harmonic_basis(curve, g, (0, 0))
     scalar_values = [cech_omega[1], cech_const[0]]
+    # the star takes f d'x to f d''x: the starred flows are the flows' coefficient rows;
+    # the (0,0) and (1,1) dimensions are Cech H^0 of the constants and H^1 of omega1
+    duality = max(
+        abs(rank([list(c.values()) for c in basis10.exact_coefficients]) - basis10.dimension),
+        abs(cech_omega[1] - cech_const[0]),
+    )
+    exact_s = time.perf_counter() - start
+
+    start = time.perf_counter()
+    angle = 0.0
+    ambiguous = False
     for h in h_list:
         try:
             mesh = build_mesh(curve, g, h, TRUNC_EPS)
@@ -362,7 +377,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
                 angle = max(angle, _principal_angle(system, spectral, basis))
         except AmbiguousKernelError:
             ambiguous = True
-    elapsed = time.perf_counter() - start
+    both_s = exact_s + time.perf_counter() - start
 
     spread = float(max(values) - min(values))
     report.add(
@@ -370,7 +385,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
         "five computations of the harmonic (1,0) dimension coincide with the genus",
         spread,
         0.0,
-        elapsed,
+        both_s,
         status="ambiguous" if ambiguous else None,
     )
     report.add(
@@ -378,28 +393,22 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 /
         "the (0,0) and (1,1) harmonic spaces are one-dimensional",
         float(max(abs(v - 1) for v in scalar_values)),
         0.0,
-        0.0,
+        both_s,
         status="ambiguous" if ambiguous else None,
-    )
-    # the star takes f d'x to f d''x: the starred flows are the flows' coefficient rows;
-    # the (0,0) and (1,1) dimensions are Cech H^0 of the constants and H^1 of omega1
-    duality = max(
-        abs(rank([list(c.values()) for c in basis10.exact_coefficients]) - basis10.dimension),
-        abs(cech_omega[1] - cech_const[0]),
     )
     report.add(
         "hodge-star-duality",
         "the Hodge star pairs the harmonic dimensions (p,q) <-> (1-p,1-q)",
         float(duality),
         0.0,
-        0.0,
+        exact_s,
     )
     report.add(
         "hodge-kernel-span",
         "discrete kernels reproduce the exact harmonic spans",
         angle,
         1e-6,
-        0.0,
+        both_s,
         status="ambiguous" if ambiguous else None,
     )
     return report

@@ -302,7 +302,8 @@ def validate(curve: TropicalCurve) -> ValidationReport:
         ConditionCheck(
             "4",
             True,
-            "finite edges carry the canonical chart [-l(e), 0] with the head at 0",
+            "finite edges carry the canonical chart [-l(e), 0] with the head at 0; holds by construction, "
+            "since each chart is built from the parsed length and orientation",
         )
     )
 

@@ -6,13 +6,22 @@ That is enough to write every coefficient used in this package, e.g. the
 Fubini-Study weight ``2*exp(2*x)/(1+exp(2*x))^2``, while keeping symbolic
 differentiation exact and trivial.
 
-Evaluation is numpy-vectorized: ``node.eval(x)`` accepts floats or arrays.
+Trees are immutable, so each node caches what is derived from it.
+``node.diff()`` builds the derivative once.  ``node(x)`` (or
+``node.eval(x)``) runs the node's ``Tape``: the tree compiled once into
+straight-line code with one step per structurally distinct subtree, so
+``exp(2*x)`` repeated across a derivative chain is computed once per
+call.  ``parse_expression`` caches its trees by source text.  A float x
+gives Python-float arithmetic, an array x numpy arithmetic and an array
+of its shape.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,33 +39,39 @@ class ExpressionError(ValueError):
 class Expression:
     """Base node of the expression tree."""
 
-    def eval(self, x):
+    def _derivative(self) -> "Expression":
         raise NotImplementedError
+
+    @cached_property
+    def _diff(self) -> "Expression":
+        return self._derivative()
 
     def diff(self) -> "Expression":
-        raise NotImplementedError
+        """The exact derivative, built once per node."""
+        return self._diff
+
+    @cached_property
+    def tape(self) -> "Tape":
+        return Tape(self)
+
+    def eval(self, x):
+        return self.tape(x)
 
     def __call__(self, x):
-        return self.eval(x)
+        return self.tape(x)
 
 
 @dataclass(frozen=True)
 class Num(Expression):
     value: float
 
-    def eval(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value) if np.ndim(x) else self.value
-
-    def diff(self):
+    def _derivative(self):
         return Num(0.0)
 
 
 @dataclass(frozen=True)
 class Var(Expression):
-    def eval(self, x):
-        return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-
-    def diff(self):
+    def _derivative(self):
         return Num(1.0)
 
 
@@ -64,10 +79,7 @@ class Var(Expression):
 class Neg(Expression):
     arg: Expression
 
-    def eval(self, x):
-        return -self.arg.eval(x)
-
-    def diff(self):
+    def _derivative(self):
         return _neg(self.arg.diff())
 
 
@@ -76,10 +88,7 @@ class Add(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, x):
-        return self.left.eval(x) + self.right.eval(x)
-
-    def diff(self):
+    def _derivative(self):
         return _add(self.left.diff(), self.right.diff())
 
 
@@ -88,10 +97,7 @@ class Sub(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, x):
-        return self.left.eval(x) - self.right.eval(x)
-
-    def diff(self):
+    def _derivative(self):
         return _sub(self.left.diff(), self.right.diff())
 
 
@@ -100,10 +106,7 @@ class Mul(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, x):
-        return self.left.eval(x) * self.right.eval(x)
-
-    def diff(self):
+    def _derivative(self):
         return _add(_mul(self.left.diff(), self.right), _mul(self.left, self.right.diff()))
 
 
@@ -112,10 +115,7 @@ class Div(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, x):
-        return self.left.eval(x) / self.right.eval(x)
-
-    def diff(self):
+    def _derivative(self):
         num = _sub(_mul(self.left.diff(), self.right), _mul(self.left, self.right.diff()))
         return Div(num, Pow(self.right, 2))
 
@@ -125,10 +125,7 @@ class Pow(Expression):
     base: Expression
     exponent: int
 
-    def eval(self, x):
-        return self.base.eval(x) ** self.exponent
-
-    def diff(self):
+    def _derivative(self):
         if self.exponent == 0:
             return Num(0.0)
         inner = self.base.diff()
@@ -140,11 +137,85 @@ class Pow(Expression):
 class Exp(Expression):
     arg: Expression
 
-    def eval(self, x):
-        return np.exp(self.arg.eval(x))
-
-    def diff(self):
+    def _derivative(self):
         return _mul(self, self.arg.diff())
+
+
+_OPS = {Neg: operator.neg, Exp: np.exp, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+        Div: operator.truediv, Pow: operator.pow}
+
+
+class Tape:
+    """A tree compiled to straight-line code.
+
+    Slot 0 holds x and the next slots the tree's literals; each step
+    stores ``op(slot a)`` or ``op(slot a, slot b)`` in a slot of its own.
+    A step is keyed by its operation and argument values, so equal
+    subtrees share one step.  A step takes over a slot whose value no
+    later step reads, so a call keeps few arrays alive at once, not one
+    per step.  A scalar x runs on Python floats.  An array x runs on
+    numpy, with each float literal a one-element array that broadcasts:
+    numpy's scalar ``**`` rounds differently from its array loop, and
+    this way a subtree of literals rounds as it would on arrays of x's
+    shape.  Exponents stay Python ints.
+    """
+
+    def __init__(self, root: Expression):
+        self.floats, code = [None], []  # code: (op, args) per step; a value is a slot, or -(j+1) for step j
+        keys, seen, varying = {}, {}, {0}  # seen by id: a node shared by reference is visited once
+
+        def literal(value) -> int:
+            key = (type(value), value.hex() if isinstance(value, float) else value)  # hex keeps -0.0 apart
+            if key not in keys:
+                keys[key] = len(self.floats)
+                self.floats.append(value)
+            return keys[key]
+
+        def visit(node: Expression) -> int:
+            if id(node) not in seen:
+                if isinstance(node, Var):
+                    seen[id(node)] = 0
+                elif isinstance(node, Num):
+                    seen[id(node)] = literal(float(node.value))
+                else:
+                    args = [visit(v) if isinstance(v, Expression) else literal(v) for v in _fields(node)]
+                    key = (type(node), *args)
+                    if key not in keys:
+                        code.append((_OPS[type(node)], args))
+                        keys[key] = -len(code)
+                        if varying.intersection(args):
+                            varying.add(keys[key])
+                    seen[id(node)] = keys[key]
+            return seen[id(node)]
+
+        result = visit(root)
+        last = {value: j for j, (_, args) in enumerate(code) for value in args}  # the last step reading it
+        last[result] = len(code)
+        slot, free, self.steps = {}, [], []
+        for j, (op, args) in enumerate(code):
+            a, b = (*[slot.get(value, value) for value in args], None)[:2]
+            free += [slot.get(value, value) for value in set(args) if last[value] == j]
+            if not free:
+                free.append(len(self.floats))
+                self.floats.append(None)
+            slot[-j - 1] = free.pop()
+            self.steps.append((slot[-j - 1], op, a, b))
+        self.root = slot.get(result, result)
+        self.constant = result not in varying
+        self.arrays = [np.full(1, c) if isinstance(c, float) else c for c in self.floats]
+
+    def __call__(self, x):
+        array = bool(np.ndim(x))
+        vals = list(self.arrays if array else self.floats)
+        vals[0] = x = np.asarray(x, dtype=float) if array else float(x)
+        for out, op, a, b in self.steps:
+            vals[out] = op(vals[a]) if b is None else op(vals[a], vals[b])
+        out = vals[self.root]
+        return np.full(x.shape, out[0]) if array and self.constant else out
+
+
+def _fields(node: Expression) -> list:
+    return [getattr(node, f.name) for f in fields(node)]
 
 
 def _is_zero(e: Expression) -> bool:
@@ -221,9 +292,12 @@ def _tokenize(text: str):
 
 
 MAX_EXPONENT = 1024
-# eval, diff and to_source recurse per tree level, the parser per nesting
-# level; both stay far below the recursion limit.  The k-th derivative of a
-# quotient chain visits about depth^(k+1) nodes; MAX_NODES bounds wide trees.
+# diff, Tape and to_source recurse per tree level, the parser per nesting
+# level; both stay far below the recursion limit.  A derivative shares
+# subtrees with its tree, and diff and Tape take each shared node once, so
+# the tape of a k-th derivative stays small (587 steps for the third of a
+# quotient chain 15 deep); to_source still visits about depth^(k+1) nodes.
+# MAX_NODES bounds wide trees.
 MAX_DEPTH = 32
 MAX_NODES = 256
 
@@ -353,11 +427,14 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {value!r}" if value else "unexpected end of input", pos)
 
 
+@lru_cache(maxsize=256)
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an expression tree.
 
-    Raises ExpressionError with the byte offset of the first problem, or
-    offset 0 for a tree deeper than MAX_DEPTH or larger than MAX_NODES.
+    The tree is cached by source text and shared between callers, with
+    its derivatives and tapes.  Raises ExpressionError with the byte
+    offset of the first problem, or offset 0 for a tree deeper than
+    MAX_DEPTH or larger than MAX_NODES.
     """
     tree = _Parser(text).parse()
     nodes, stack = 0, [(tree, 1)]
@@ -368,7 +445,7 @@ def parse_expression(text: str) -> Expression:
             raise ExpressionError(f"expression has more than {MAX_NODES} nodes", 0)
         if level > MAX_DEPTH:
             raise ExpressionError(f"expression tree is deeper than {MAX_DEPTH} levels", 0)
-        stack.extend((c, level + 1) for c in vars(node).values() if isinstance(c, Expression))
+        stack.extend((c, level + 1) for c in _fields(node) if isinstance(c, Expression))
     return tree
 
 

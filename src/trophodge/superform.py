@@ -131,7 +131,7 @@ class EdgeFunction:
         if not isinstance(expr, Expression):
             raise TypeError("expected an expression tree or source string")
         return cls(
-            expr.eval,
+            expr.tape,
             derivative_factory=lambda: cls.from_expression(expr.diff(), tail_bound, domain),
             tail_bound=tail_bound,
             domain=domain,

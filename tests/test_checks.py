@@ -317,3 +317,92 @@ def test_verification_check_ids_are_unique():
     ids = [c.check_id for c in report.checks]
     assert len(ids) == len(set(ids))
     assert report.passed
+
+
+def _star_statuses(monkeypatch, curve, star=None, laplacian=None):
+    from trophodge import metric
+
+    g = KahlerForm.from_spec(curve, None)
+    if star is not None:  # inner_product and laplacian read metric's star, the suite its own import
+        monkeypatch.setattr(metric, "hodge_star", star)
+        monkeypatch.setattr(checks, "hodge_star", star)
+    if laplacian is not None:
+        monkeypatch.setattr(checks, "laplacian", laplacian)
+    return {c.check_id: c.status for c in check_star_identities(curve, g).checks}
+
+
+def test_unsigned_01_star_turns_star_involution_red(monkeypatch):
+    from trophodge.metric import hodge_star
+
+    def unsigned(form, g):
+        out = hodge_star(form, g)
+        return out.map_coefficients(lambda fn: -fn) if form.bidegree.as_tuple() == (0, 1) else out
+
+    assert _star_statuses(monkeypatch, curves.triangle())["star-involution"] == "pass"
+    assert _star_statuses(monkeypatch, curves.triangle(), star=unsigned)["star-involution"] == "fail"
+
+
+def test_11_star_multiplying_by_g_turns_star_isometry_red(monkeypatch):
+    from trophodge.metric import hodge_star
+
+    def multiplying(form, g):
+        if form.bidegree.as_tuple() != (1, 1):
+            return hodge_star(form, g)
+        coeffs = {eid: fn * g.weights[eid] for eid, fn in form.coefficients.items()}
+        return Superform(dataclasses.replace(form.bidegree, p=0, q=0), coeffs)
+
+    legs = curves.triangle_with_legs()
+    assert _star_statuses(monkeypatch, legs)["star-isometry"] == "pass"
+    assert _star_statuses(monkeypatch, legs, star=multiplying)["star-isometry"] == "fail"
+
+
+def test_doubled_g2_term_in_11_laplacian_turns_star_commutation_red(monkeypatch):
+    # -(f/g)'' holds the term f g''/g^2 once; the mutant holds it twice.
+    # g'' vanishes for constant weights, so the curve needs Fubini-Study legs.
+    from trophodge.metric import laplacian
+
+    def doubled(form, g):
+        out = laplacian(form, g)
+        if form.bidegree.as_tuple() != (1, 1):
+            return out
+        coeffs = {}
+        for eid, fn in out.coefficients.items():
+            w = g.weights[eid]
+            coeffs[eid] = fn + (form.coefficients[eid] * w.derivative().derivative()).divide(w * w)
+        return Superform(out.bidegree, coeffs)
+
+    legs = curves.triangle_with_legs()
+    assert _star_statuses(monkeypatch, legs)["star-laplacian-commutation"] == "pass"
+    assert _star_statuses(monkeypatch, legs, laplacian=doubled)["star-laplacian-commutation"] == "fail"
+
+
+def test_dbar_dropping_one_edge_turns_stokes_closed_red(monkeypatch):
+    from trophodge.superform import EdgeFunction
+
+    d = checks.d_second
+
+    def dropping(form):
+        out = d(form)
+        first = next(iter(out.coefficients))
+        return Superform(out.bidegree, {**out.coefficients, first: EdgeFunction.zero(out.coefficients[first].domain)})
+
+    tri = curves.triangle()
+    forms = regular_test_forms(tri, (1, 0), 4, seed=3)
+    assert check_stokes(tri, forms, seed=3).passed
+    monkeypatch.setattr(checks, "d_second", dropping)
+    statuses = {c.check_id: c.status for c in check_stokes(tri, forms, seed=3).checks}
+    assert statuses["stokes-closed"] == "fail"
+
+
+def test_annulus_integral_scaled_by_2pi_turns_theta_checks_red(monkeypatch):
+    import math
+
+    from trophodge import theta
+
+    annulus_integral = theta.annulus_integral
+    assert check_theta_correspondence().passed
+    monkeypatch.setattr(theta, "annulus_integral", lambda form, domain: 2 * math.pi * annulus_integral(form, domain))
+    report = check_theta_correspondence()
+    statuses = {c.check_id: c.status for c in report.checks}
+    assert set(statuses) == {"theta-constant", "theta-cubic", "theta-fubini-study"}
+    assert set(statuses.values()) == {"fail"}

@@ -220,21 +220,25 @@ SPLIT_AXIS_NEGATIVE = {
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "x^0^-1"}}), "ExpressionError"),
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "(" * 3000 + "1" + ")" * 3000}}), "ExpressionError"),
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "+".join(["1"] * 200_000)}}), "ExpressionError"),
+        (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "1/0"}}), "KahlerError"),
+        (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "1+0^-1*x"}}), "KahlerError"),
         (_triangle_doc(kahler={"abx": {"kind": "constant", "value": -5}}), "KahlerError"),
         (SPLIT_AXIS_NEGATIVE, "KahlerError"),
         (_triangle_doc(id=7), "CurveError"),
         (_triangle_doc(tail=["A"]), "CurveError"),
     ],
     ids=["kahler-list", "kahler-entry-number", "expr-no-formula", "constant-no-value",
-         "zero-to-negative-power", "nested-3000-deep", "sum-of-200000", "key-names-no-edge", "key-names-split-edge",
+         "zero-to-negative-power", "nested-3000-deep", "sum-of-200000", "divide-by-zero", "zero-to-the-minus-one",
+         "key-names-no-edge", "key-names-split-edge",
          "numeric-id", "list-tail"],
 )
 def test_malformed_documents_give_typed_errors(tmp_path, capsys, doc, kind):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
-    command = "genus" if kind == "CurveError" else "harmonic"
-    assert run([command, str(path)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
+    commands = ["genus"] if kind == "CurveError" else ["harmonic", "verify"]
+    for command in commands:
+        assert run([command, str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
 
 
 @pytest.mark.parametrize(
@@ -328,3 +332,11 @@ def test_importing_the_package_leaves_the_sparse_solvers_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_timings_put_seconds_on_every_hodge_check(triangle_file, capsys):
+    assert run(["verify", triangle_file, "--timings", "--h-list", "0.125", "--forms", "2"]) == 0
+    seconds = {c["id"]: c["seconds"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    hodge = {cid: s for cid, s in seconds.items() if cid.startswith("hodge-")}
+    assert len(hodge) == 4
+    assert all(s > 0.0 for s in hodge.values())

@@ -133,3 +133,128 @@ def test_round_trip_property(source):
     va, vb = np.asarray(tree.eval(xs)), np.asarray(again.eval(xs))
     mask = np.isfinite(va)
     assert np.all(np.abs(va[mask] - vb[mask]) <= 1e-14 * np.maximum(1.0, np.abs(va[mask])))
+
+
+# -- the tape against a recursive reference ---------------------------------
+
+import dataclasses
+import operator
+
+from hypothesis import assume
+
+from trophodge.expressions import MAX_DEPTH, MAX_NODES, Add, Div, Exp, Expression, Mul, Neg, Num, Pow, Sub, Var
+
+
+def reference(node, x):
+    """Per-node recursive evaluation: literals as arrays of x's shape for array x, Python floats otherwise."""
+    if isinstance(node, Num):
+        return np.full_like(np.asarray(x, dtype=float), node.value) if np.ndim(x) else node.value
+    if isinstance(node, Var):
+        return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    if isinstance(node, Neg):
+        return -reference(node.arg, x)
+    if isinstance(node, Exp):
+        return np.exp(reference(node.arg, x))
+    if isinstance(node, Pow):
+        return reference(node.base, x) ** node.exponent
+    op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}[type(node)]
+    return op(reference(node.left, x), reference(node.right, x))
+
+
+def outcome(evaluate, node, x):
+    """The result's type, shape and bits, or the type of the exception raised.
+
+    Every NaN counts as one value: which NaN operand an operation passes
+    on depends on numpy's loop (vector, tail or broadcast lanes), and the
+    per-node evaluator itself gives the third derivative of 1/(x/0) a
+    NaN of the other sign in the last of 9 lanes.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            value = evaluate(node, x)
+    except ArithmeticError as exc:
+        return type(exc)
+    bits = np.asarray(value, dtype=float)
+    return type(value), np.shape(value), np.where(np.isnan(bits), np.nan, bits).tobytes()
+
+
+POINTS = [0.0, -1.25, 0.7, 3, np.float64(-0.3), np.linspace(-2.0, 2.0, 9), np.array([[0.0, 1.5], [-0.5, 2.0]]),
+          np.array([0.0])]
+
+
+def assert_tape_matches_reference(tree):
+    for x in POINTS:
+        assert outcome(lambda node, x: node(x), tree, x) == outcome(reference, tree, x), (tree, x)
+
+
+def _size_and_depth(node):
+    children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    children = [c for c in children if isinstance(c, Expression)]
+    sizes = [_size_and_depth(c) for c in children]
+    return 1 + sum(s for s, _ in sizes), 1 + max((d for _, d in sizes), default=0)
+
+
+LITERALS = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.25, -1.5, 1e200]).map(Num)
+trees = st.recursive(
+    st.just(Var()) | LITERALS,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Exp, sub), st.builds(Pow, sub, st.integers(-3, 3)),
+        *(st.builds(cls, sub, sub) for cls in (Add, Sub, Mul, Div)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(trees)
+def test_tape_equals_reference_bitwise_with_three_derivatives(tree):
+    size, depth = _size_and_depth(tree)
+    assume(size <= MAX_NODES and depth <= MAX_DEPTH)
+    for _ in range(4):
+        assert_tape_matches_reference(tree)
+        tree = tree.diff()
+
+
+def test_neg_and_sub_get_their_own_steps():
+    x = Var()
+    # 1/(-x) and 1/(0-x) differ only in the sign of zero; a tape that
+    # merged Neg with Sub, or 0.0 with -0.0, would read inf - inf at x = 0
+    tree = Sub(Div(Num(1.0), Neg(x)), Div(Num(1.0), Sub(Num(0.0), x)))
+    assert_tape_matches_reference(tree)
+    signed_zero = Add(Div(Num(1.0), Num(-0.0)), Div(Num(1.0), Num(0.0)))
+    assert_tape_matches_reference(signed_zero)
+    with np.errstate(all="ignore"):
+        assert np.isneginf(tree(np.array([0.0]))[0])
+        assert np.isnan(signed_zero(np.zeros(2))).all()
+    ops = Add(Add(Exp(x), Neg(x)), Add(Mul(x, Num(2.0)), Div(x, Num(2.0))))
+    assert_tape_matches_reference(ops)
+    assert len(ops.tape.steps) == 7
+
+
+def test_repeated_subtree_is_one_step():
+    tree = parse_expression("exp(2*x)/(1+exp(2*x))")
+    assert_tape_matches_reference(tree)
+    assert len(tree.tape.steps) == 4  # 2*x, exp, 1+, /
+
+
+def test_constant_root_returns_a_fresh_array_of_the_input_shape():
+    for source in ["1/0", "3", "(2.5)^3*exp(0.25)"]:
+        tree = parse_expression(source)
+        assert_tape_matches_reference(tree)
+        grid = np.zeros((2, 3))
+        with np.errstate(divide="ignore"):
+            value = tree(grid)
+        assert isinstance(value, np.ndarray) and value.shape == (2, 3)
+    one = parse_expression("3")(np.zeros(1))
+    one[0] = 7.0
+    assert parse_expression("3")(np.zeros(1))[0] == 3.0
+
+
+def test_parse_diff_and_tape_are_built_once():
+    from trophodge.superform import EdgeFunction
+
+    tree = parse_expression("2*exp(2*x)/(1+exp(2*x))^2")
+    assert parse_expression("2*exp(2*x)/(1+exp(2*x))^2") is tree
+    assert tree.diff() is tree.diff()
+    fn = EdgeFunction.from_expression("2*exp(2*x)/(1+exp(2*x))^2")
+    assert fn._value is tree.tape
+    assert fn.derivative()._value is fn.derivative()._value is tree.diff().tape
