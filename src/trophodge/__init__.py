@@ -51,6 +51,7 @@ from .metric import (
 from .harmonic import HarmonicBasis, betti, cech_cohomology, harmonic_basis
 from .discrete import (
     AmbiguousKernelError,
+    BudgetError,
     DiscreteSystem,
     Mesh,
     SpectralResult,

@@ -145,7 +145,7 @@ def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) ->
     vertex conditions are enforced by the minimum-norm least-squares
     correction of the coefficient vector.
     """
-    bd = bidegree if isinstance(bidegree, Bidegree) else Bidegree(*bidegree)
+    bd = Bidegree.of(bidegree)
     if bd.as_tuple() not in ((0, 0), (1, 0)):
         raise ValueError("test families are generated in bidegrees (0,0) and (1,0)")
     scalar = int(bd.as_tuple() == (0, 0))
@@ -175,15 +175,12 @@ def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) ->
         return row
 
     rows = []
-    for v in curve.sorted_vertices():
-        ends = [(e, s) for e, s in curve.edge_ends_at(v) if not (e.infinite and s == "tail")]
-        if len(ends) < 2:
-            continue
+    for _, ends in curve.junctions():
         if scalar:  # continuity: every end value equals the first
-            reference = end_value_row(*ends[0])
-            rows += [end_value_row(e, side) - reference for e, side in ends[1:]]
+            reference = end_value_row(*ends[0][:2])
+            rows += [end_value_row(e, side) - reference for e, side, _ in ends[1:]]
         else:  # Kirchhoff: the signed end values sum to zero
-            rows.append(sum((1.0 if side == "head" else -1.0) * end_value_row(e, side) for e, side in ends))
+            rows.append(sum(sign * end_value_row(e, side) for e, side, sign in ends))
 
     A = np.asarray(rows) if rows else np.zeros((0, n))
 

@@ -4,9 +4,10 @@ Subcommands: validate, genus, harmonic, spectrum, verify, theta.  Every
 command reads a curve-spec JSON document and emits a JSON report to
 stdout or --out FILE; spectra can additionally be dumped as CSV.  Exit
 codes: 0 on success, 1 when a verification check fails, 2 on input
-errors or when the eigensolver cannot certify a result, 3 on any other
-exception (an InternalError); codes 2 and 3 come with a
-machine-readable error object on stderr.
+errors, on a mesh or quadrature level over its size budget, or when the
+eigensolver cannot certify a result, 3 on any other exception (an
+InternalError); with codes 2 and 3, stderr ends with one JSON error
+object.
 
 Reports are byte-deterministic for fixed inputs and seeds; per-check
 timings are zeroed unless --timings is given.
@@ -17,6 +18,8 @@ from __future__ import annotations
 import json
 import sys
 import traceback
+
+import numpy as np
 
 from . import checks as checks_module
 from .curve import CurveError, genus, parse_document, validate
@@ -95,7 +98,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        with np.errstate(all="ignore"):  # a non-finite value is judged by the checks, not warned about
+            return _dispatch(args)
     except (CurveError, KahlerError, ExpressionError, json.JSONDecodeError, OSError, ValueError) as exc:
         kind = type(exc).__name__
         extra = {}

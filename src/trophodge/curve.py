@@ -103,6 +103,17 @@ class TropicalCurve:
         """
         return list(self._ends.get(vertex, ()))
 
+    def junctions(self) -> list[tuple[str, list[tuple[Edge, str, int]]]]:
+        """Vertices where two or more edge-ends meet, sorted, each with its
+        ends as (edge, 'head'|'tail', Kirchhoff sign: +1 head, -1 tail) in
+        ``edge_ends_at`` order.  The point at -inf of a leg is never an
+        end.  On a curve that passes ``validate`` these are exactly the
+        vertices of degree >= 2 with all their ends (conditions 5 and 6).
+        """
+        ends_at = {v: [(e, side, 1 if side == "head" else -1) for e, side in self.edge_ends_at(v)
+                       if not (e.infinite and side == "tail")] for v in self.sorted_vertices()}
+        return [(v, ends) for v, ends in ends_at.items() if len(ends) >= 2]
+
     def finite_edges(self) -> list[Edge]:
         return [e for e in self.sorted_edges() if not e.infinite]
 
@@ -357,12 +368,12 @@ def genus(curve: TropicalCurve) -> int:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Signed vertex/edge incidence restricted to vertices of degree >= 2.
+    """Signed vertex/edge incidence restricted to the curve's junctions.
 
-    Entry (v, e) sums +1 per edge-end with head v and -1 per end with
-    tail v, so a self-loop contributes 0.  Rows and columns follow sorted
-    vertex and edge ids; the rows are exactly the Kirchhoff constraints
-    for edge-constant (1,0) coefficients in canonical charts.
+    Entry (v, e) sums the Kirchhoff signs of e's ends at v, so a
+    self-loop contributes 0.  Rows and columns follow sorted vertex and
+    edge ids; the rows are exactly the Kirchhoff constraints for
+    edge-constant (1,0) coefficients in canonical charts.
     """
 
     matrix: tuple[tuple[int, ...], ...]
@@ -375,16 +386,16 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(curve: TropicalCurve) -> IncidenceMatrix:
-    rows = [v for v in curve.sorted_vertices() if curve.degree(v) >= 2]
+    junctions = curve.junctions()
     cols = [e.id for e in curve.sorted_edges()]
     col_of = {eid: j for j, eid in enumerate(cols)}
     matrix = []
-    for v in rows:
+    for _, ends in junctions:
         row = [0] * len(cols)
-        for e, side in curve.edge_ends_at(v):
-            row[col_of[e.id]] += 1 if side == "head" else -1
+        for e, _, sign in ends:
+            row[col_of[e.id]] += sign
         matrix.append(tuple(row))
-    return IncidenceMatrix(tuple(matrix), tuple(rows), tuple(cols))
+    return IncidenceMatrix(tuple(matrix), tuple(v for v, _ in junctions), tuple(cols))
 
 
 def reverse_edge(curve: TropicalCurve, edge_id: str) -> TropicalCurve:

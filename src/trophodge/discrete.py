@@ -8,7 +8,8 @@ quadratic forms of the Laplacian on (0,0)- and (1,0)-forms:
          (the derivative Kirchhoff condition is natural);
   (1,0): stiffness  int (1/g) psi'^2 dx, mass int psi^2 dx,
          end values per edge stay independent and Kirchhoff's law is an
-         explicit constraint row per vertex of degree >= 2.
+         explicit constraint row per junction of the curve, kept as a
+         sparse matrix of +-1 entries.
 
 Infinite edges are truncated where the weight's tail mass and tail
 second moment both drop below a threshold; (0,0) leaves the cut end
@@ -16,11 +17,12 @@ free (constants must survive: they are square integrable because the
 total mass is finite) while (1,0) pins it to zero (regularity at
 infinity).  Constraints are eliminated through a nullspace basis,
 never penalties, so the kernel gap stays clean.  Every edge-end degree
-of freedom lies in at most one vertex's Kirchhoff row, with coefficient
-+1 (head end) or -1 (tail end), so the rows have disjoint supports and
-are independent.  Solving each row for its lowest DOF gives the basis
-in closed form; its entries are 0 and +-1, which floats hold exactly,
-and it is the basis reduced row-echelon form would give.  One sparse
+of freedom lies in at most one junction's Kirchhoff row, with the end's
+sign from the curve's junction table, +1 (head end) or -1 (tail end),
+so the rows have disjoint supports and are independent.  Solving each
+row for its lowest DOF gives the basis in closed form; its entries are
+0 and +-1, which floats hold exactly, and it is the basis reduced
+row-echelon form would give.  One sparse
 eigensolver serves ``kernel`` and ``spectrum``: block inverse iteration
 with the spectral transformation (K + M)^{-1} M and a Rayleigh-Ritz step
 per sweep on a basis orthonormalized through its Gram matrix (SVQB),
@@ -51,6 +53,7 @@ __all__ = [
     "DiscreteSystem",
     "SpectralResult",
     "AmbiguousKernelError",
+    "BudgetError",
     "TailNeighborhood",
     "StarNeighborhood",
     "build_mesh",
@@ -67,6 +70,10 @@ _ELEMENT_NODES = 8  # Gauss-Legendre nodes per element in assembly
 
 class AmbiguousKernelError(RuntimeError):
     """No admissible spectral gap separates a kernel from the rest."""
+
+
+class BudgetError(ValueError):
+    """A mesh would exceed the node budget."""
 
 
 @dataclass(frozen=True)
@@ -108,25 +115,32 @@ def _tail_cutoff(edge_id: str, fn: EdgeFunction, trunc_eps: float) -> Truncation
 
 
 def build_mesh(curve: TropicalCurve, g: KahlerForm, h: float, trunc_eps: float) -> Mesh:
-    """Uniform step <= h per edge; infinite edges truncated first."""
-    if h <= 0 or trunc_eps <= 0:
+    """Uniform step <= h per edge; infinite edges truncated first.
+
+    A mesh of more than _MAX_MESH_NODES nodes is a BudgetError, raised
+    before any node is allocated.
+    """
+    if not (h > 0 and trunc_eps > 0):
         raise ValueError("h and trunc_eps must be positive")
-    nodes = {}
+    lengths = {}
     truncations = []
-    collapsed = []
     for e in curve.sorted_edges():
         if e.infinite:
             rec = _tail_cutoff(e.id, g.weights[e.id], trunc_eps)
             truncations.append(rec)
-            length = rec.cutoff
-            if length == 0.0:
-                collapsed.append(e.id)
-                nodes[e.id] = np.array([0.0])
-                continue
+            lengths[e.id] = rec.cutoff
         else:
-            length = e.length
-        n = max(1, int(math.ceil(length / h - 1e-12)))
-        nodes[e.id] = np.linspace(-length, 0.0, n + 1)
+            lengths[e.id] = e.length
+    # elements per edge; min() keeps an edge over the budget from reaching ceil(inf)
+    elements = {eid: max(1, math.ceil(min(length / h, _MAX_MESH_NODES) - 1e-12)) if length else 0
+                for eid, length in lengths.items()}
+    total = sum(elements.values()) + len(elements)
+    if total > _MAX_MESH_NODES:
+        raise BudgetError(f"a mesh of step h={h!r} needs more than {_MAX_MESH_NODES} nodes"
+                          f" (at least {total})")
+    nodes = {eid: np.linspace(-lengths[eid], 0.0, n + 1) if n else np.array([0.0])
+             for eid, n in elements.items()}
+    collapsed = [eid for eid, n in elements.items() if n == 0]
     if collapsed and len(collapsed) == len(nodes):
         raise ValueError(
             f"truncation at trunc_eps={trunc_eps!r} collapses every leg ({', '.join(collapsed)}) "
@@ -152,7 +166,7 @@ class DiscreteSystem:
     bidegree: Bidegree
     stiffness: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
-    constraints: np.ndarray  # (m, n), full row rank; empty for (0,0)
+    constraints: scipy.sparse.csr_matrix  # (m, n) Kirchhoff rows of +-1 entries, disjoint supports; (0, n) for (0,0)
     dof_map: DofMap
     mesh: Mesh
 
@@ -213,7 +227,7 @@ def _element_mass_weighted(fn, coords: np.ndarray):
 
 def assemble(mesh: Mesh, curve: TropicalCurve, g: KahlerForm, bidegree) -> DiscreteSystem:
     """Assemble stiffness, mass and Kirchhoff constraints for one bidegree."""
-    bd = bidegree if isinstance(bidegree, Bidegree) else Bidegree(*bidegree)
+    bd = Bidegree.of(bidegree)
     if bd.as_tuple() not in ((0, 0), (1, 0)):
         raise ValueError(
             "only bidegrees (0,0) and (1,0) are discretized; the others follow by star duality"
@@ -251,39 +265,33 @@ def assemble(mesh: Mesh, curve: TropicalCurve, g: KahlerForm, bidegree) -> Discr
     K = scipy.sparse.csr_matrix((vals_k, (rows, cols)), shape=(n, n))
     M = scipy.sparse.csr_matrix((vals_m, (rows, cols)), shape=(n, n))
 
-    constraints = np.zeros((0, n))
-    if bd.as_tuple() == (1, 0):
-        kept = []
-        for v in curve.sorted_vertices():
-            if curve.degree(v) < 2:
-                continue
-            row = np.zeros(n)
-            for e, side in curve.edge_ends_at(v):
-                if e.infinite and side == "tail":
-                    continue
-                dofs = dof_map.edge_dofs[e.id]
-                dof = dofs[-1] if side == "head" else dofs[0]
-                if dof < 0:
-                    continue  # end already pinned to zero by truncation
-                row[dof] += 1.0 if side == "head" else -1.0
-            if np.any(row):
-                kept.append(row)
-        if kept:
-            constraints = np.asarray(kept)
-        _kirchhoff_entries(constraints)
+    rows, cols, signs = [], [], []  # one Kirchhoff row per junction with an unpinned end
+    for _, ends in curve.junctions() if bd.p == 1 else ():
+        row = rows[-1] + 1 if rows else 0
+        for e, side, sign in ends:
+            dof = dof_map.edge_dofs[e.id][-1 if side == "head" else 0]
+            if dof >= 0:  # -1: the end is already pinned to zero by truncation
+                rows.append(row)
+                cols.append(dof)
+                signs.append(sign)
+    shape = (rows[-1] + 1 if rows else 0, n)
+    constraints = scipy.sparse.csr_matrix((np.asarray(signs, dtype=float), (rows, cols)), shape=shape)
+    _kirchhoff_entries(constraints)
 
     return DiscreteSystem(bd, K, M, constraints, dof_map, mesh)
 
 
-def _kirchhoff_entries(B: np.ndarray):
-    """Row, column and value of each nonzero of B, row by row.
+def _kirchhoff_entries(B):
+    """Row, column and value of each nonzero of B, sparse or dense, in row-major order.
 
     Raises unless every row is nonempty, every entry is +-1 and no
     column appears in two rows: the structure the closed-form nullspace
     relies on.
     """
-    rows, cols = np.nonzero(B)
-    vals = B[rows, cols]
+    B = scipy.sparse.coo_array(B)
+    order = np.lexsort((B.col, B.row))
+    order = order[B.data[order] != 0]
+    rows, cols, vals = B.row[order], B.col[order], B.data[order]
     if np.any(np.abs(vals) != 1.0):
         raise RuntimeError("Kirchhoff constraint entries must be +-1")
     if np.unique(cols).size != cols.size:
@@ -293,7 +301,7 @@ def _kirchhoff_entries(B: np.ndarray):
     return rows, cols, vals
 
 
-def _constraint_nullspace(B: np.ndarray) -> scipy.sparse.csr_matrix:
+def _constraint_nullspace(B) -> scipy.sparse.csr_matrix:
     """Nullspace basis Z of the Kirchhoff rows B, without elimination.
 
     Each row's pivot is its lowest column; the free columns are all
@@ -350,6 +358,7 @@ _STALL = 1e-6  # relative residual above which a stall means too narrow a block
 _CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
 _MAX_SWEEPS = 300
 _MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
+_MAX_MESH_NODES = _MAX_BLOCK_ENTRIES // 5  # the smallest block, k = 1 and width 5, fits no larger mesh
 
 
 def _factor(A, B, shift: float):

@@ -14,8 +14,8 @@ flows, and the (1,1) space is spanned by the Kahler form itself.
 cech_cohomology assembles the finite Cech complex of the vertex-star
 cover.  For the locally constant sheaf a star section is one real and
 an edge overlap is one real.  For the sheaf of closed (1,0) forms a
-star section at a vertex of degree >= 2 is a tuple of constants over
-the incident edge-germs subject to Kirchhoff's law, a star at a
+star section at a junction of the curve is a tuple of constants over
+its edge-germs subject to Kirchhoff's law, a star at a
 degree-one vertex admits only zero (regularity at infinity), and an
 edge overlap is again one real.  A graph star cover has no triple
 overlaps, so the complex stops at C^1.
@@ -86,7 +86,7 @@ def harmonic_basis(curve: TropicalCurve, g: KahlerForm | None, bidegree) -> Harm
     g is only consulted for bidegree (1,1), whose single basis element
     is the Kahler form.
     """
-    bd = bidegree if isinstance(bidegree, Bidegree) else Bidegree(*bidegree)
+    bd = Bidegree.of(bidegree)
     if bd.as_tuple() == (0, 0):
         coeffs = {e.id: Fraction(1) for e in curve.sorted_edges()}
         return HarmonicBasis(bd, (coeffs,), "constants", curve)
@@ -155,13 +155,9 @@ def _cech_constants(curve: TropicalCurve) -> tuple[int, int]:
 
 def _cech_omega1(curve: TropicalCurve) -> tuple[int, int]:
     # C^0 coordinates: a basis of each star's Kirchhoff tuples.  At a
-    # vertex of degree d >= 2 with ends (t_1, ..., t_d) the basis is
-    # t_i - t_d for i < d; degree-one stars contribute nothing.
-    ends_at: dict[str, list] = {}
-    for v in curve.sorted_vertices():
-        if curve.degree(v) >= 2:
-            ends_at[v] = curve.edge_ends_at(v)
-
+    # junction with ends (t_1, ..., t_d) the basis is t_i - t_d for
+    # i < d; degree-one stars contribute nothing.
+    ends_at = dict(curve.junctions())
     columns = []  # (vertex, local basis index)
     for v, ends in ends_at.items():
         for i in range(len(ends) - 1):
@@ -176,7 +172,7 @@ def _cech_omega1(curve: TropicalCurve) -> tuple[int, int]:
         d = len(ends)
         # star section with vertex-local end values: +1 on end i, -1 on end d-1
         for end_index, value in ((i, 1), (d - 1, -1)):
-            e, _ = ends[end_index]
+            e = ends[end_index][0]
             # restriction to the edge overlap, written in the canonical
             # chart: +value from a head end, -value from a tail end; the
             # Cech sign is + for the head star and - for the tail star,

@@ -13,7 +13,9 @@ equal level-by-level ones.  Panel meshes are cached read-only.
 
 Divergence is declared when four successive refinements fail to
 contract by a factor of two; integrands like a constant weight on an
-infinite edge then fail deterministically instead of stabilizing.
+infinite edge then fail deterministically instead of stabilizing.  A
+finite-interval level of more than MAX_LEVEL_NODES nodes is declared
+divergent before it is allocated.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ TAIL_LEVELS = 10
 TOL_FINITE = 1e-11
 TOL_INFINITE = 1e-9
 MAX_REFINEMENTS = 14
+# Nodes of one finite-interval level, 8 MiB of float64; a longer chart
+# or a deeper refinement is a DivergenceError before any allocation.
+MAX_LEVEL_NODES = 2**20
 
 
 class DivergenceError(ArithmeticError):
@@ -126,6 +131,9 @@ def _refine(values, tol: float) -> float:
 
 @lru_cache(maxsize=64)
 def _finite_grid(a: float, b: float, n: int):
+    if n * NODES_PER_PANEL > MAX_LEVEL_NODES:
+        raise DivergenceError(f"a level of {n} panels on [{a!r}, {b!r}] exceeds the cap of"
+                              f" {MAX_LEVEL_NODES} quadrature nodes")
     return _panel_grid(np.linspace(a, b, n + 1))
 
 

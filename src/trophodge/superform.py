@@ -63,12 +63,13 @@ class Bidegree:
     def as_tuple(self) -> tuple[int, int]:
         return (self.p, self.q)
 
-
-def _as_bidegree(value) -> Bidegree:
-    if isinstance(value, Bidegree):
-        return value
-    p, q = value
-    return Bidegree(int(p), int(q))
+    @classmethod
+    def of(cls, value) -> "Bidegree":
+        """``value`` if it is a Bidegree, else the Bidegree of a (p, q) pair."""
+        if isinstance(value, cls):
+            return value
+        p, q = value
+        return cls(int(p), int(q))
 
 
 def _central_difference(fn: Callable) -> Callable:
@@ -276,7 +277,7 @@ class Superform:
         source string, or a number (constant coefficient).  Missing edges
         get the zero coefficient.
         """
-        bd = _as_bidegree(bidegree)
+        bd = Bidegree.of(bidegree)
         unknown = set(coefficients) - {e.id for e in curve.edges}
         if unknown:
             raise KeyError(f"coefficients for edges not on the curve: {sorted(unknown)}")
@@ -298,7 +299,7 @@ class Superform:
 
     @classmethod
     def zero_like(cls, form: "Superform", bidegree=None, flagged: bool = False) -> "Superform":
-        bd = form.bidegree if bidegree is None else _as_bidegree(bidegree)
+        bd = form.bidegree if bidegree is None else Bidegree.of(bidegree)
         coeffs = {eid: EdgeFunction.zero(fn.domain) for eid, fn in form.coefficients.items()}
         return cls(bd, coeffs, vanishes_dimensionally=flagged)
 
@@ -306,7 +307,7 @@ class Superform:
         return self.coefficients[edge_id]
 
     def map_coefficients(self, op, bidegree=None, flagged=None) -> "Superform":
-        bd = self.bidegree if bidegree is None else _as_bidegree(bidegree)
+        bd = self.bidegree if bidegree is None else Bidegree.of(bidegree)
         return Superform(
             bd,
             {eid: op(fn) for eid, fn in self.coefficients.items()},
@@ -423,10 +424,10 @@ def _tail_entry(fn: EdgeFunction, bidegree: Bidegree, tol: float) -> tuple[bool,
 def is_regular(form: Superform, curve: TropicalCurve, tol: float = 1e-10) -> RegularityReport:
     """Continuity / Kirchhoff / regularity-at-infinity report for a form.
 
-    (0,0): values at every vertex agree across incident edge-ends and the
-    coefficient is constant beyond the declared tail bound on each
-    infinite edge.  (1,0): the vertex-local end values sum to |residual|
-    <= tol at every vertex of degree >= 2, and the coefficient vanishes
+    (0,0): values at every junction of the curve agree across its ends
+    and the coefficient is constant beyond the declared tail bound on
+    each infinite edge.  (1,0): the vertex-local end values sum to
+    |residual| <= tol at every junction, and the coefficient vanishes
     beyond the tail bound.  (0,1) and (1,1): only the condition at
     infinity applies.
     """
@@ -437,23 +438,15 @@ def is_regular(form: Superform, curve: TropicalCurve, tol: float = 1e-10) -> Reg
     kirchhoff: dict = {}
     at_infinity: dict = {}
 
-    if bd.as_tuple() == (0, 0):
-        for v in curve.sorted_vertices():
-            ends = [(e, side) for e, side in curve.edge_ends_at(v) if not (e.infinite and side == "tail")]
-            if len(ends) < 2:
-                continue
-            values = [end_value(form, e, side) for e, side in ends]
+    for v, ends in curve.junctions() if bd.q == 0 else ():  # no vertex condition binds q = 1
+        values = [end_value(form, e, side) for e, side, _ in ends]
+        if bd.p == 0:
             spread = max(values) - min(values)
             continuity[v] = (spread <= tol, f"end values spread {spread:.3e}")
-    elif bd.as_tuple() == (1, 0):
-        for v in curve.sorted_vertices():
-            if curve.degree(v) < 2:
-                continue
+        else:  # vertex-local values carry the Kirchhoff signs; summed in order, as floats
             total = 0.0
-            for e, side in curve.edge_ends_at(v):
-                if e.infinite and side == "tail":
-                    continue
-                total += end_value(form, e, side)
+            for value in values:
+                total += value
             kirchhoff[v] = (abs(total) <= tol, total)
 
     for e in curve.infinite_edges():

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trophodge import curves
 from trophodge.cli import run
@@ -222,6 +226,8 @@ SPLIT_AXIS_NEGATIVE = {
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "+".join(["1"] * 200_000)}}), "ExpressionError"),
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "1/0"}}), "KahlerError"),
         (_triangle_doc(kahler={"ab": {"kind": "expr", "formula": "1+0^-1*x"}}), "KahlerError"),
+        # the mass quadrature of this edge would ask for terabytes at its first level
+        (_triangle_doc(length=1e12), "KahlerError"),
         (_triangle_doc(kahler={"abx": {"kind": "constant", "value": -5}}), "KahlerError"),
         (SPLIT_AXIS_NEGATIVE, "KahlerError"),
         (_triangle_doc(id=7), "CurveError"),
@@ -229,6 +235,7 @@ SPLIT_AXIS_NEGATIVE = {
     ],
     ids=["kahler-list", "kahler-entry-number", "expr-no-formula", "constant-no-value",
          "zero-to-negative-power", "nested-3000-deep", "sum-of-200000", "divide-by-zero", "zero-to-the-minus-one",
+         "edge-of-1e12",
          "key-names-no-edge", "key-names-split-edge",
          "numeric-id", "list-tail"],
 )
@@ -340,3 +347,96 @@ def test_timings_put_seconds_on_every_hodge_check(triangle_file, capsys):
     hodge = {cid: s for cid, s in seconds.items() if cid.startswith("hodge-")}
     assert len(hodge) == 4
     assert all(s > 0.0 for s in hodge.values())
+
+
+def _cli_subprocess(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "trophodge", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("formula", ["1/0", "1+0^-1*x"])
+@pytest.mark.parametrize("command", ["verify", "harmonic"])
+def test_exit_2_leaves_one_json_object_on_stderr(tmp_path, formula, command):
+    # in-process, pytest's warning capture would hide numpy's RuntimeWarning lines
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(_triangle_doc(kahler={"ab": {"kind": "expr", "formula": formula}})))
+    result = _cli_subprocess(command, str(path))
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"]["kind"] == "KahlerError"
+
+
+def test_mesh_over_the_node_budget_is_a_budget_error(triangle_file, capsys):
+    # 3e12 nodes: terabytes if the budget did not stop it before allocation
+    assert run(["spectrum", triangle_file, "--h", "1e-12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "BudgetError"
+
+
+TYPED_ERRORS = {"CurveError", "KahlerError", "ExpressionError", "ValueError", "DivergenceError",
+                "AmbiguousKernelError", "BudgetError"}
+FINITE_LENGTHS = st.sampled_from([0.5, 1, 1.5, 2, 3])
+ODD_LENGTHS = st.sampled_from([0, -1, -0.5, "inf", 1e12, "1", None, True, [1], {"l": 1}])
+FORMULAS = ["1", "x", "-1", "exp(x)", "2*exp(2*x)/(1+exp(2*x))^2", "1/0", "1+0^-1*x", "x^0^-1",
+            "exp(", "2**x", ")", "", "y", "x^1.5", "1+" * 40 + "1"]
+KAHLER_ENTRIES = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, st.sampled_from([1, 0.5, 0, -2, "a", None])),
+    st.just({"kind": "constant"}),
+    st.just({"kind": "fubini-study"}),
+    st.builds(lambda f: {"kind": "expr", "formula": f}, st.sampled_from(FORMULAS)),
+    st.just({"kind": "expr", "formula": 3}),
+    st.just({"kind": "spline"}),
+    st.just(7),
+)
+
+
+@st.composite
+def curve_documents(draw):
+    """Small documents, valid or not: a cycle of 2-4 vertices, chords
+    and self-loops, legs out of fresh leaf vertices, and in about
+    half of them one odd length or one leg turned around."""
+    core = [f"v{i}" for i in range(draw(st.integers(2, 4)))]
+    vertices, edges = list(core), []
+
+    def edge(tail, head, length):
+        edges.append({"id": f"e{len(edges)}", "tail": tail, "head": head, "length": length})
+
+    for a, b in zip(core, core[1:] + core[:1]):
+        edge(a, b, draw(FINITE_LENGTHS))
+    for _ in range(draw(st.integers(0, 3))):  # chords and self-loops
+        edge(draw(st.sampled_from(core)), draw(st.sampled_from(core)), draw(FINITE_LENGTHS))
+    for i in range(draw(st.integers(0, 6 - len(core)))):
+        vertices.append(f"leaf{i}")
+        edge(f"leaf{i}", draw(st.sampled_from(core)), "inf")
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from(edges))
+        if draw(st.booleans()):
+            odd["length"] = draw(ODD_LENGTHS)
+        else:  # a finite edge ending at a leaf, or a leg with its point at -inf at the head
+            odd["tail"], odd["head"] = odd["head"], odd["tail"]
+    doc = {"vertices": vertices, "edges": edges}
+    if draw(st.booleans()):
+        keys = st.sampled_from([e["id"] for e in edges] + ["nowhere"])
+        doc["kahler"] = draw(st.dictionaries(keys, KAHLER_ENTRIES, max_size=3))
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(curve_documents())
+def test_generated_documents_exit_0_or_2_with_a_typed_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["validate"], ["genus"], ["harmonic"], ["spectrum", "--h", "0.5", "--k", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([argv[0], path, *argv[1:]])
+            assert code in (0, 2), err.getvalue()
+            if code == 2 and argv[0] == "validate" and not err.getvalue():
+                assert json.loads(out.getvalue())["passed"] is False  # the report of a failing curve
+            elif code == 2:
+                assert json.loads(err.getvalue())["error"]["kind"] in TYPED_ERRORS
