@@ -358,7 +358,7 @@ _STALL = 1e-6  # relative residual above which a stall means too narrow a block
 _CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
 _MAX_SWEEPS = 300
 _MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
-_MAX_MESH_NODES = _MAX_BLOCK_ENTRIES // 5  # the smallest block, k = 1 and width 5, fits no larger mesh
+_MAX_MESH_NODES = _MAX_BLOCK_ENTRIES  # a mesh's node array is no larger than one block; solves hit _widen first
 
 
 def _factor(A, B, shift: float):

@@ -46,8 +46,11 @@ TAIL_LEVELS = 10
 TOL_FINITE = 1e-11
 TOL_INFINITE = 1e-9
 MAX_REFINEMENTS = 14
-# Nodes of one finite-interval level, 8 MiB of float64; a longer chart
-# or a deeper refinement is a DivergenceError before any allocation.
+# Nodes of one finite-interval level, 8 MiB of float64.  Level k of a
+# chart of length L has ceil(2L) 2^k panels, so the refinement depth
+# available shrinks as L grows: all MAX_REFINEMENTS levels up to L = 2,
+# none past L = 16384.  A level over the cap is a DivergenceError
+# before any allocation.
 MAX_LEVEL_NODES = 2**20
 
 

@@ -13,6 +13,7 @@ from trophodge.checks import _TAIL_WINDOW_BOUND, _smoothstep_window, band_window
 from trophodge.curve import Edge, TropicalCurve
 from trophodge.discrete import (
     AmbiguousKernelError,
+    BudgetError,
     StarNeighborhood,
     TailNeighborhood,
     _constraint_nullspace,
@@ -441,6 +442,17 @@ def test_first_block_respects_the_size_cap(monkeypatch):
     monkeypatch.setattr(discrete, "_factor", no_factor)
     with pytest.raises(AmbiguousKernelError, match="exceeds the cap"):
         spectrum(system, 3)
+
+
+def test_node_budget_admits_meshes_finer_than_any_solve():
+    # with its default weight triangle_with_legs meshes to 19 units of length,
+    # so h = 1/65536 (the finest step of bench/cliffs.py) needs 1.25M nodes
+    legs = curves.triangle_with_legs()
+    g = KahlerForm.from_spec(legs, None)
+    mesh = build_mesh(legs, g, 1 / 65536, 1e-4)
+    assert sum(len(nodes) for nodes in mesh.nodes.values()) == 1245189
+    with pytest.raises(BudgetError, match="at least 4980741"):
+        build_mesh(legs, g, 1 / 262144, 1e-4)
 
 
 def test_exact_zero_pivot_in_the_middle_of_a_gap():

@@ -169,6 +169,18 @@ def test_constant_on_tail_divergence_message():
     assert str(info.value) == "4 successive refinements failed to contract (last change 1.386e+00)"
 
 
+def test_level_cap_leaves_a_length_2_chart_every_refinement(monkeypatch):
+    # each level's value halves the last change, so only the depth or the cap stops it
+    monkeypatch.setattr(quadrature, "_levels_values", lambda f, grids: [1.0 / nodes.size for nodes, _ in grids])
+    try:
+        with pytest.raises(DivergenceError, match=f"within {quadrature.MAX_REFINEMENTS} refinements"):
+            integrate_finite(np.sin, -2.0, 0.0)
+        with pytest.raises(DivergenceError, match="a level of 81920 panels .* exceeds the cap"):
+            integrate_finite(np.sin, -2.5, 0.0)
+    finally:
+        quadrature._finite_grid.cache_clear()  # drop the 16 MiB of deep levels
+
+
 def test_cached_grids_are_read_only():
     for nodes, half in (quadrature._finite_grid(-1.0, 0.0, 2), quadrature._tail_grid(quadrature.TAIL_LEVELS, 1)):
         for array in (nodes, half):
