@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import theta as theta_module
 from .curve import TropicalCurve, genus
@@ -310,6 +309,8 @@ def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superf
 
 def _principal_angle(system, spectral, basis) -> float:
     """Largest principal angle between the discrete kernel and the exact span."""
+    import scipy.linalg
+
     if basis.dimension == 0:
         return 0.0 if spectral.kernel_dimension == 0 else math.pi / 2
     edge_dofs = system.dof_map.edge_dofs

@@ -6,8 +6,8 @@ stdout or --out FILE; spectra can additionally be dumped as CSV.  Exit
 codes: 0 on success, 1 when a verification check fails, 2 on input
 errors, on a mesh or quadrature level over its size budget, or when the
 eigensolver cannot certify a result, 3 on any other exception (an
-InternalError); with codes 2 and 3, stderr ends with one JSON error
-object.
+InternalError); with codes 2 and 3, stderr holds one JSON error object
+and nothing else, with the messages of any warnings under "warnings".
 
 Reports are byte-deterministic for fixed inputs and seeds; per-check
 timings are zeroed unless --timings is given.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -32,7 +33,9 @@ from .quadrature import DivergenceError
 __all__ = ["main", "run"]
 
 
-def _emit_error(kind: str, message: str, **extra) -> None:
+def _emit_error(kind: str, message: str, caught: list, **extra) -> None:
+    if caught:
+        extra["warnings"] = [str(w.message) for w in caught]
     payload = {"error": {"kind": kind, "message": message, **extra}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
@@ -97,22 +100,27 @@ def _build_parser():
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        with np.errstate(all="ignore"):  # a non-finite value is judged by the checks, not warned about
-            return _dispatch(args)
-    except (CurveError, KahlerError, ExpressionError, json.JSONDecodeError, OSError, ValueError) as exc:
-        kind = type(exc).__name__
-        extra = {}
-        if isinstance(exc, json.JSONDecodeError):
-            extra = {"line": exc.lineno, "column": exc.colno, "position": exc.pos}
-        _emit_error(kind, str(exc), **extra)
-        return 2
-    except (DivergenceError, AmbiguousKernelError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 2
-    except Exception as exc:  # a fault of the program, not of the input
-        _emit_error("InternalError", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
-        return 3
+    # warnings wait for the exit code: with 2 or 3 they go into the error object, the only thing on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            with np.errstate(all="ignore"):  # a non-finite value is judged by the checks, not warned about
+                code = _dispatch(args)
+        except (CurveError, KahlerError, ExpressionError, json.JSONDecodeError, OSError, ValueError) as exc:
+            kind = type(exc).__name__
+            extra = {}
+            if isinstance(exc, json.JSONDecodeError):
+                extra = {"line": exc.lineno, "column": exc.colno, "position": exc.pos}
+            _emit_error(kind, str(exc), caught, **extra)
+            return 2
+        except (DivergenceError, AmbiguousKernelError) as exc:
+            _emit_error(type(exc).__name__, str(exc), caught)
+            return 2
+        except Exception as exc:  # a fault of the program, not of the input
+            _emit_error("InternalError", f"{type(exc).__name__}: {exc}", caught, traceback=traceback.format_exc())
+            return 3
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 def _dispatch(args) -> int:

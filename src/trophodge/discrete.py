@@ -29,6 +29,10 @@ per sweep on a basis orthonormalized through its Gram matrix (SVQB),
 certified by inertia counts.  The kernel dimension is read off a
 spectral gap ratio with an explicit failure mode instead of a silent
 threshold.
+
+scipy is imported inside the functions that call it, each submodule by
+name, never at module level: ``import trophodge`` and the commands that
+solve nothing (validate, genus, harmonic, theta) then never load it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .curve import TropicalCurve
 from .exact import rref  # noqa: F401 -- unused; the benchmark's tracer wraps discrete.rref by name
@@ -261,6 +263,8 @@ def assemble(mesh: Mesh, curve: TropicalCurve, g: KahlerForm, bidegree) -> Discr
         keep = (r >= 0) & (c >= 0)  # -1 marks a DOF eliminated by truncation
         blocks.append((r[keep], c[keep], k[keep], m[keep]))
 
+    import scipy.sparse
+
     rows, cols, vals_k, vals_m = map(np.concatenate, zip(*blocks))
     K = scipy.sparse.csr_matrix((vals_k, (rows, cols)), shape=(n, n))
     M = scipy.sparse.csr_matrix((vals_m, (rows, cols)), shape=(n, n))
@@ -288,6 +292,8 @@ def _kirchhoff_entries(B):
     column appears in two rows: the structure the closed-form nullspace
     relies on.
     """
+    import scipy.sparse
+
     B = scipy.sparse.coo_array(B)
     order = np.lexsort((B.col, B.row))
     order = order[B.data[order] != 0]
@@ -310,6 +316,8 @@ def _constraint_nullspace(B) -> scipy.sparse.csr_matrix:
     pivot.  This is the basis the reduced row-echelon form of B gives,
     because the rows' supports are disjoint.
     """
+    import scipy.sparse
+
     n = B.shape[1]
     if B.shape[0] == 0:
         return scipy.sparse.eye(n, format="csr")
@@ -367,7 +375,7 @@ def _factor(A, B, shift: float):
     Symmetric ordering with diagonal pivots makes U = D L^T, so by
     Sylvester's law of inertia the negative pivots count the eigenvalues.
     """
-    import scipy.sparse.linalg as spla  # lazily: it would add to every import of the package
+    import scipy.sparse.linalg as spla
 
     try:
         lu = spla.splu((A - shift * B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -422,6 +430,8 @@ def _ritz_vectors(S, A, B, rng):
     does not.  The Ritz vectors are Q W, with W the eigenvectors of the
     small symmetric matrix Q^T (A Q).
     """
+    import scipy.linalg
+
     for _ in range(8):
         G = S.T @ (B @ S)
         d = 1.0 / np.sqrt(np.diag(G))

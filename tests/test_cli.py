@@ -331,14 +331,46 @@ def test_spectrum_solver_giving_up_is_a_typed_error(triangle_file, monkeypatch, 
     assert "exceeds the cap" in error["message"]
 
 
-def test_importing_the_package_leaves_the_sparse_solvers_unloaded():
+def _src_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, trophodge; print('scipy.sparse.linalg' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return env
+
+
+def _cli_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "trophodge", *argv], env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_importing_the_package_leaves_the_sparse_solvers_unloaded(tmp_path):
+    # a fresh interpreter: earlier tests in this one have loaded scipy
+    path = tmp_path / "legs.json"
+    path.write_text(serialize(curves.triangle_with_legs()))
+    code = f"""
+import contextlib, io, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import trophodge
+from trophodge.cli import run
+print(scipy_modules())
+for command in ("validate", "genus", "harmonic", "theta"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run([command, {str(path)!r}])
+    print(command, code, scipy_modules())
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+                            timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == ["[]", "validate 0 []", "genus 0 []", "harmonic 0 []", "theta 0 []"]
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["verify", "--h-list", "0.125", "--forms", "2"]])
+def test_solver_commands_import_what_they_use(triangle_file, argv):
+    # a function reaching a scipy submodule it did not import itself fails only in a fresh interpreter
+    result = _cli_subprocess(argv[0], triangle_file, *argv[1:])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)
 
 
 def test_timings_put_seconds_on_every_hodge_check(triangle_file, capsys):
@@ -347,14 +379,6 @@ def test_timings_put_seconds_on_every_hodge_check(triangle_file, capsys):
     hodge = {cid: s for cid, s in seconds.items() if cid.startswith("hodge-")}
     assert len(hodge) == 4
     assert all(s > 0.0 for s in hodge.values())
-
-
-def _cli_subprocess(*argv):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "trophodge", *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
 
 
 @pytest.mark.parametrize("formula", ["1/0", "1+0^-1*x"])
@@ -366,6 +390,21 @@ def test_exit_2_leaves_one_json_object_on_stderr(tmp_path, formula, command):
     result = _cli_subprocess(command, str(path))
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"]["kind"] == "KahlerError"
+
+
+def test_warnings_of_a_failed_run_go_into_the_error_object(tmp_path):
+    # trunc_eps 10 collapses both legs, which warns, and then k exceeds the six DOFs left
+    path = tmp_path / "legs.json"
+    path.write_text(serialize(curves.triangle_with_legs()))
+    argv = ["spectrum", str(path), "--trunc-eps", "10", "--h", "0.5"]
+    failed = _cli_subprocess(*argv, "--k", "100000")
+    assert (failed.returncode, failed.stdout) == (2, "")
+    error = json.loads(failed.stderr)["error"]
+    assert error["kind"] == "ValueError"
+    assert [w.split(":")[0] for w in error["warnings"]] == ["edge 'legA'", "edge 'legB'"]
+    passed = _cli_subprocess(*argv)  # a run that succeeds still shows the warnings
+    assert passed.returncode == 0
+    assert passed.stderr.count("UserWarning: edge 'leg") == 2
 
 
 def test_mesh_over_the_node_budget_is_a_budget_error(triangle_file, capsys):
