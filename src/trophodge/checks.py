@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import theta as theta_module
 from .curve import TropicalCurve, genus
 from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel
 from .exact import rank
+from .expressions import Opaque
 from .harmonic import betti, cech_cohomology, harmonic_basis
 from .metric import FUBINI_STUDY_SOURCE, KahlerForm, hodge_star, inner_product, integrate, laplacian
 from .quadrature import DivergenceError
@@ -99,26 +101,27 @@ class CheckReport:
 
 def _smoothstep_window(start: float, domain, stop: float = 0.0) -> EdgeFunction:
     """C^2 window: 0 on (-inf, start], quintic ramp, 1 on [stop, chart end]."""
-    s_coeffs = np.array([6.0, -15.0, 10.0, 0.0, 0.0, 0.0])  # 6t^5-15t^4+10t^3
+    return EdgeFunction(_window(start, stop), tail_bound=start, domain=domain)
+
+
+@lru_cache(maxsize=64)
+def _window(start: float, stop: float, level: int = 0) -> Opaque:
+    """The level-th derivative of the window, one node per (start, stop): test forms share it."""
+    poly = np.array([6.0, -15.0, 10.0, 0.0, 0.0, 0.0])  # 6t^5-15t^4+10t^3
+    for _ in range(level):
+        poly = np.polyder(poly)
     width = stop - start
+    scale = width**-level if level else 1.0
+    above = 1.0 if level == 0 else 0.0
 
-    def make(level: int) -> EdgeFunction:
-        poly = s_coeffs
-        for _ in range(level):
-            poly = np.polyder(poly)
-        scale = width**-level if level else 1.0
-        above = 1.0 if level == 0 else 0.0
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        t = (x - start) / width
+        ramp = np.polyval(poly, np.clip(t, 0.0, 1.0)) * scale
+        out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, above, ramp))
+        return out if x.ndim else float(out)
 
-        def value(x, poly=poly, scale=scale, above=above):
-            x = np.asarray(x, dtype=float)
-            t = (x - start) / width
-            ramp = np.polyval(poly, np.clip(t, 0.0, 1.0)) * scale
-            out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, above, ramp))
-            return out if x.ndim else float(out)
-
-        return EdgeFunction(value, lambda: make(level + 1), tail_bound=start, domain=domain)
-
-    return make(0)
+    return Opaque(value, derivative=lambda: _window(start, stop, level + 1))
 
 
 def band_window(rise: tuple[float, float], fall: tuple[float, float], domain) -> EdgeFunction:
@@ -564,7 +567,9 @@ def check_theta_correspondence() -> CheckReport:
 
 def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=(1 / 16, 1 / 32),
                      form_count: int = 20) -> CheckReport:
-    """All verification suites on one curve, run in a fixed order."""
+    """All verification suites on one curve, run in a fixed order; form_count must be at least 1."""
+    if form_count < 1:
+        raise ValueError(f"verification needs at least one test form per family, got {form_count}")
     report = CheckReport(seed=seed)
     forms = regular_test_forms(curve, (1, 0), form_count, seed)
     report.extend(check_stokes(curve, forms, seed))

@@ -37,6 +37,7 @@ solve nothing (validate, genus, harmonic, theta) then never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -570,15 +571,9 @@ def vector_to_superform(system: DiscreteSystem, u: np.ndarray) -> Superform:
     coeffs = {}
     for eid, coords in system.mesh.nodes.items():
         dofs = system.dof_map.edge_dofs[eid]
-        values = np.where(dofs >= 0, u[np.maximum(dofs, 0)], 0.0)
-        xs = coords.copy()
-        ys = np.asarray(values, dtype=float)
-
-        def fn(x, xs=xs, ys=ys):
-            return np.interp(np.asarray(x, dtype=float), xs, ys)
-
-        e = system.mesh.curve.edge(eid)
-        coeffs[eid] = EdgeFunction(fn, None, None, e.chart)
+        values = np.asarray(np.where(dofs >= 0, u[np.maximum(dofs, 0)], 0.0), dtype=float)
+        interpolant = functools.partial(np.interp, xp=coords.copy(), fp=values)
+        coeffs[eid] = EdgeFunction(interpolant, domain=system.mesh.curve.edge(eid).chart)
     return Superform(system.bidegree, coeffs)
 
 
@@ -635,8 +630,7 @@ def _antiderivative(fn, lo: float, hi: float, sign: int, domain, c=None, below=N
                 out[i] = below(float(xs[i]))
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
-    deriv = EdgeFunction(lambda x: sign * fn(x), None, None, domain)
-    return EdgeFunction(value, lambda: deriv, None, domain)
+    return EdgeFunction(value, lambda: fn.scale(sign), None, domain)
 
 
 def solve_dbar_local(omega: Superform, g: KahlerForm, neighborhood) -> Superform:

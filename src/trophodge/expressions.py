@@ -1,10 +1,16 @@
-"""Tiny expression grammar for edge-coefficient functions.
+"""Expression trees for edge-coefficient functions, and their grammar.
 
 The grammar covers real literals, the chart variable ``x``, the operators
 ``+ - * / ^`` (integer powers only), unary minus, ``exp`` and parentheses.
 That is enough to write every coefficient used in this package, e.g. the
 Fubini-Study weight ``2*exp(2*x)/(1+exp(2*x))^2``, while keeping symbolic
 differentiation exact and trivial.
+
+``Opaque`` nodes have no source text: a callable of x (or of -l - x, in
+a reversed chart) with an optional derivative factory.  They carry
+windows, interpolants, antiderivatives, ``polynomial`` and reversed trees.
+The product and quotient helpers cancel g*(f/g) and (f*g)/g to f when
+both g are one node, so the Hodge star applied twice returns its input.
 
 Trees are immutable, so each node caches what is derived from it.
 ``node.diff()`` builds the derivative once.  ``node(x)`` (or
@@ -20,12 +26,13 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["Expression", "ExpressionError", "parse_expression", "to_source"]
+__all__ = ["Expression", "ExpressionError", "Opaque", "parse_expression", "polynomial", "to_source"]
 
 
 class ExpressionError(ValueError):
@@ -42,17 +49,20 @@ class Expression:
     def _derivative(self) -> "Expression":
         raise NotImplementedError
 
-    @cached_property
-    def _diff(self) -> "Expression":
-        return self._derivative()
-
+    # both caches live in the instance dict, which a frozen dataclass leaves writable
     def diff(self) -> "Expression":
         """The exact derivative, built once per node."""
-        return self._diff
+        d = self.__dict__.get("_diff")
+        if d is None:
+            d = self.__dict__["_diff"] = self._derivative()
+        return d
 
-    @cached_property
+    @property
     def tape(self) -> "Tape":
-        return Tape(self)
+        tape = self.__dict__.get("_tape")
+        if tape is None:
+            tape = self.__dict__["_tape"] = Tape(self)
+        return tape
 
     def eval(self, x):
         return self.tape(x)
@@ -141,6 +151,31 @@ class Exp(Expression):
         return _mul(self, self.arg.diff())
 
 
+@dataclass(frozen=True, eq=False)
+class Opaque(Expression):
+    """fn applied to arg; derivative() gives fn' as a tree in x, else fn' is a central difference."""
+
+    fn: Callable
+    arg: Expression = Var()
+    derivative: Callable[[], Expression] | None = None
+
+    def _derivative(self):
+        inner = self.derivative() if self.derivative else Opaque(_central_difference(self.fn))
+        if not isinstance(self.arg, Var):  # inner is a tree in x, to be read at arg
+            inner = Opaque(inner, self.arg, inner.diff)
+        return _mul(inner, self.arg.diff())
+
+
+def _central_difference(fn: Callable) -> Callable:
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        h = np.maximum(1e-6, 1e-8 * np.abs(x))
+        return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+    return deriv
+
+
+_BINARY = {Add, Sub, Mul, Div}
 _OPS = {Neg: operator.neg, Exp: np.exp, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
         Div: operator.truediv, Pow: operator.pow}
 
@@ -149,60 +184,79 @@ class Tape:
     """A tree compiled to straight-line code.
 
     Slot 0 holds x and the next slots the tree's literals; each step
-    stores ``op(slot a)`` or ``op(slot a, slot b)`` in a slot of its own.
-    A step is keyed by its operation and argument values, so equal
-    subtrees share one step.  A step takes over a slot whose value no
-    later step reads, so a call keeps few arrays alive at once, not one
-    per step.  A scalar x runs on Python floats.  An array x runs on
-    numpy, with each float literal a one-element array that broadcasts:
-    numpy's scalar ``**`` rounds differently from its array loop, and
-    this way a subtree of literals rounds as it would on arrays of x's
-    shape.  Exponents stay Python ints.
+    stores ``op(slot a)`` or ``op(slot a, slot b)`` in a slot of its own,
+    op an operator, exp or an opaque node's fn.  A step is keyed by its
+    operation and argument values, so equal subtrees share one step.  A
+    step takes over a slot whose value no later step reads, so a call
+    keeps few arrays alive at once, not one per step.  A scalar x runs
+    on Python floats.  An array x runs on numpy, with each float literal
+    a one-element array that broadcasts: numpy's scalar ``**`` rounds
+    differently from its array loop, and this way a subtree of literals
+    rounds as it would on arrays of x's shape.  Exponents stay Python
+    ints.
     """
 
     def __init__(self, root: Expression):
-        self.floats, code = [None], []  # code: (op, args) per step; a value is a slot, or -(j+1) for step j
-        keys, seen, varying = {}, {}, {0}  # seen by id: a node shared by reference is visited once
+        floats, arrays, code = [None], [None], []  # code: (op, a, b) per step; a value is a slot, or ~j for step j
+        keys, seen, varying, last = {}, {}, {0}, {}  # last: the step that reads a value last
 
         def literal(value) -> int:
-            key = (type(value), value.hex() if isinstance(value, float) else value)  # hex keeps -0.0 apart
-            if key not in keys:
-                keys[key] = len(self.floats)
-                self.floats.append(value)
-            return keys[key]
+            key = value.hex() if type(value) is float else value  # hex keeps -0.0 apart
+            index = keys.get(key)
+            if index is None:
+                index = keys[key] = len(floats)
+                floats.append(value)
+                arrays.append(np.array([value]) if type(value) is float else value)
+            return index
 
         def visit(node: Expression) -> int:
-            if id(node) not in seen:
-                if isinstance(node, Var):
-                    seen[id(node)] = 0
-                elif isinstance(node, Num):
-                    seen[id(node)] = literal(float(node.value))
+            value = seen.get(id(node))
+            if value is None:
+                kind = type(node)
+                op = _OPS.get(kind)
+                if kind in _BINARY:
+                    a, b = visit(node.left), visit(node.right)
+                elif kind is Opaque:
+                    op, a, b = node.fn, visit(node.arg), None
+                elif kind is Num:
+                    a = literal(float(node.value))
+                elif kind is Var:
+                    a = 0
+                elif kind is Pow:
+                    a, b = visit(node.base), literal(node.exponent)
                 else:
-                    args = [visit(v) if isinstance(v, Expression) else literal(v) for v in _fields(node)]
-                    key = (type(node), *args)
-                    if key not in keys:
-                        code.append((_OPS[type(node)], args))
-                        keys[key] = -len(code)
-                        if varying.intersection(args):
-                            varying.add(keys[key])
-                    seen[id(node)] = keys[key]
-            return seen[id(node)]
+                    a, b = visit(node.arg), None
+                if op is None:
+                    value = a
+                else:
+                    key = (id(op), a, b)
+                    value = keys.get(key)
+                    if value is None:
+                        value = keys[key] = ~len(code)
+                        code.append((op, a, b))
+                        last[a] = last[b] = value
+                        if a in varying or b in varying:
+                            varying.add(value)
+                seen[id(node)] = value
+            return value
 
         result = visit(root)
-        last = {value: j for j, (_, args) in enumerate(code) for value in args}  # the last step reading it
-        last[result] = len(code)
-        slot, free, self.steps = {}, [], []
-        for j, (op, args) in enumerate(code):
-            a, b = (*[slot.get(value, value) for value in args], None)[:2]
-            free += [slot.get(value, value) for value in set(args) if last[value] == j]
-            if not free:
-                free.append(len(self.floats))
-                self.floats.append(None)
-            slot[-j - 1] = free.pop()
-            self.steps.append((slot[-j - 1], op, a, b))
+        last[result] = None  # the result keeps its slot
+        slot, free, self.steps = {}, [], []  # a step's value keeps its slot until the last step reading it
+        for j, (op, a, b) in enumerate(code):
+            a_slot, b_slot = slot.get(a, a), slot.get(b, b)
+            if a < 0 and last[a] == ~j:
+                free.append(a_slot)
+            if b is not None and b < 0 and b != a and last[b] == ~j:
+                free.append(b_slot)
+            out = slot[~j] = free.pop() if free else len(floats)
+            if out == len(floats):
+                floats.append(None)
+                arrays.append(None)
+            self.steps.append((out, op, a_slot, b_slot))
         self.root = slot.get(result, result)
         self.constant = result not in varying
-        self.arrays = [np.full(1, c) if isinstance(c, float) else c for c in self.floats]
+        self.floats, self.arrays = floats, arrays
 
     def __call__(self, x):
         array = bool(np.ndim(x))
@@ -215,15 +269,34 @@ class Tape:
 
 
 def _fields(node: Expression) -> list:
-    return [getattr(node, f.name) for f in fields(node)]
+    return [getattr(node, name) for name in node.__match_args__]
+
+
+def polynomial(coeffs) -> Expression:
+    """sum(coeffs[k] * x^k) by Horner's rule in np.polyval's order: its bits for finite x, bar a leading -0.0.
+
+    Its derivative is the node of k * coeffs[k], not the product rule run
+    through a Horner tree, which rounds differently.
+    """
+    coeffs = [float(c) for c in coeffs]
+    if len(coeffs) <= 1:
+        return Num(coeffs[0] if coeffs else 0.0)
+
+    def horner(x):
+        y = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            y = y * x + c
+        return y
+
+    return Opaque(horner, derivative=lambda: polynomial([k * coeffs[k] for k in range(1, len(coeffs))]))
 
 
 def _is_zero(e: Expression) -> bool:
-    return isinstance(e, Num) and e.value == 0.0
+    return type(e) is Num and e.value == 0.0
 
 
 def _is_one(e: Expression) -> bool:
-    return isinstance(e, Num) and e.value == 1.0
+    return type(e) is Num and e.value == 1.0
 
 
 def _neg(e):
@@ -249,13 +322,28 @@ def _sub(a, b):
 
 
 def _mul(a, b):
-    if _is_zero(a) or _is_zero(b):
-        return Num(0.0)
-    if _is_one(a):
-        return b
+    if type(a) is Num or type(b) is Num:
+        if _is_zero(a) or _is_zero(b):
+            return Num(0.0)
+        if _is_one(a):
+            return b
+        if _is_one(b):
+            return a
+    if type(b) is Div and b.right is a:  # g * (f/g) = f exactly
+        return b.left
+    if type(a) is Div and a.right is b:
+        return a.left
+    return Mul(a, b)
+
+
+def _div(a, b):
     if _is_one(b):
         return a
-    return Mul(a, b)
+    if type(a) is Mul and a.right is b:  # (f*g)/g = f exactly
+        return a.left
+    if type(a) is Mul and a.left is b:
+        return a.right
+    return Div(a, b)
 
 
 def _pow(base, n):

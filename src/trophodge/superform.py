@@ -1,12 +1,13 @@
 """Tropical superforms of bidegree (p,q) on a curve.
 
 A superform stores one coefficient function per edge, written in the
-edge's canonical chart.  The coefficient carrier EdgeFunction knows its
-chart domain, an exact derivative when one is available (expression
-trees and the built-in factories propagate derivatives analytically;
-bare callables fall back to central differences), and an optional
-tail-support bound: a coordinate b such that the function is constant on
-(-inf, b].  The tail bound is what regularity at infinity is judged by.
+edge's canonical chart.  The coefficient carrier EdgeFunction holds an
+expression tree from ``expressions``, whose rules do all arithmetic and
+differentiation (a bare callable is an opaque node, differentiated by
+central differences unless its derivative is given), its chart domain,
+and an optional tail-support bound: a coordinate b such that the
+function is constant on (-inf, b].  The tail bound is what regularity at
+infinity is judged by.
 
 Chart reversal y = -l - x transforms coefficients with the sign
 (-1)^(p+q): (1,0)- and (0,1)-forms flip sign, (0,0)- and (1,1)-forms do
@@ -19,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partialmethod
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .curve import Edge, TropicalCurve
-from .expressions import Expression, parse_expression
+from .expressions import Expression, Num, Opaque, Sub, Var, _add, _div, _mul, _neg, _sub, parse_expression, polynomial
 
 __all__ = [
     "Bidegree",
@@ -72,54 +74,34 @@ class Bidegree:
         return cls(int(p), int(q))
 
 
-def _central_difference(fn: Callable) -> Callable:
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        h = np.maximum(1e-6, 1e-8 * np.abs(x))
-        return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-    return deriv
-
-
 class EdgeFunction:
-    """One smooth coefficient on an edge chart.
+    """One smooth coefficient on an edge chart: an expression tree plus its chart and tail bound.
 
-    value(x) is numpy-vectorized.  derivative() returns another
-    EdgeFunction; the factories below chain exact derivatives, and an
-    EdgeFunction built from a bare callable differentiates numerically
-    with step max(1e-6, 1e-8*|x|).
+    Arithmetic and derivative() build trees with the helpers of
+    ``expressions``; a call runs the tree's one tape, so in -(f/g)'' f, g
+    and their derivatives are each computed once.  A bare callable is an
+    opaque node, differentiated by derivative_factory (which returns an
+    EdgeFunction) or else by central differences, step max(1e-6, 1e-8*|x|).
     """
 
     def __init__(
         self,
-        value: Callable,
+        value: Callable | Expression,
         derivative_factory: Callable[[], "EdgeFunction"] | None = None,
         tail_bound: float | None = None,
         domain: tuple[float, float] = (NEG_INF, 0.0),
     ):
-        self._value = value
-        self._derivative_factory = derivative_factory
+        if not isinstance(value, Expression):
+            value = Opaque(value, derivative=derivative_factory and (lambda: derivative_factory().node))
+        self.node = value
         self.tail_bound = tail_bound
         self.domain = (float(domain[0]), float(domain[1]))
-        self._product_of = None  # set by __mul__ / divide for exact cancellation
-        self._quotient_of = None
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def constant(cls, value, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
-        c = float(value)
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return np.full(x.shape, c) if x.ndim else c
-
-        return cls(
-            f,
-            derivative_factory=lambda: cls.constant(0.0, domain),
-            tail_bound=0.0,
-            domain=domain,
-        )
+        return cls(Num(float(value)), tail_bound=0.0, domain=domain)
 
     @classmethod
     def zero(cls, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
@@ -131,114 +113,50 @@ class EdgeFunction:
             expr = parse_expression(expr)
         if not isinstance(expr, Expression):
             raise TypeError("expected an expression tree or source string")
-        return cls(
-            expr.tape,
-            derivative_factory=lambda: cls.from_expression(expr.diff(), tail_bound, domain),
-            tail_bound=tail_bound,
-            domain=domain,
-        )
+        return cls(expr, tail_bound=tail_bound, domain=domain)
 
     @classmethod
     def polynomial(cls, coeffs, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
-        """Polynomial sum(coeffs[k] * x^k) with exact derivative chain."""
-        coeffs = [float(c) for c in coeffs]
-        rev = coeffs[::-1]
-
-        def f(x):
-            return np.polyval(rev, np.asarray(x, dtype=float)) if np.ndim(x) else float(np.polyval(rev, x))
-
-        if len(coeffs) <= 1:
-            return cls.constant(coeffs[0] if coeffs else 0.0, domain)
-        dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-        return cls(f, derivative_factory=lambda: cls.polynomial(dcoeffs, domain), domain=domain)
+        """Polynomial sum(coeffs[k] * x^k) with exact derivative chain; a constant one is ``constant``."""
+        node = polynomial(coeffs)
+        return cls(node, tail_bound=0.0 if isinstance(node, Num) else None, domain=domain)
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):
-        return self._value(x)
+        return self.node(x)
 
     def in_domain(self, x: float, slack: float = 1e-12) -> bool:
         lo, hi = self.domain
         return (lo - slack) <= x <= (hi + slack)
 
     def derivative(self) -> "EdgeFunction":
-        if self._derivative_factory is not None:
-            d = self._derivative_factory()
-        else:
-            d = EdgeFunction(_central_difference(self._value), None, None, self.domain)
-        # constant beyond b differentiates to zero beyond b
-        if d.tail_bound is None:
-            d.tail_bound = self.tail_bound
-        d.domain = self.domain
-        return d
+        # constant beyond b differentiates to zero beyond b; a constant derivative is constant everywhere
+        node = self.node.diff()
+        tail = 0.0 if self.tail_bound is None and isinstance(node, Num) else self.tail_bound
+        return EdgeFunction(node, tail_bound=tail, domain=self.domain)
 
-    # -- algebra (derivatives chain exactly) ---------------------------
+    # -- algebra -------------------------------------------------------
 
-    def _combine_tail(self, other) -> float | None:
+    def _binary(self, helper, other) -> "EdgeFunction":
+        """helper(self, other) on this chart, constant where both operands are."""
+        other = self._coerce(other)
         if self.tail_bound is None or other.tail_bound is None:
-            return None
-        return min(self.tail_bound, other.tail_bound)
+            tail = None
+        else:
+            tail = min(self.tail_bound, other.tail_bound)
+        return EdgeFunction(helper(self.node, other.node), tail_bound=tail, domain=self.domain)
+
+    __add__ = partialmethod(_binary, _add)
+    __sub__ = partialmethod(_binary, _sub)
+    __mul__ = partialmethod(_binary, _mul)
+    divide = partialmethod(_binary, _div)
 
     def __neg__(self) -> "EdgeFunction":
-        return EdgeFunction(
-            lambda x: -self._value(x),
-            derivative_factory=lambda: -self.derivative(),
-            tail_bound=self.tail_bound,
-            domain=self.domain,
-        )
-
-    def __add__(self, other) -> "EdgeFunction":
-        other = self._coerce(other)
-        return EdgeFunction(
-            lambda x: self._value(x) + other._value(x),
-            derivative_factory=lambda: self.derivative() + other.derivative(),
-            tail_bound=self._combine_tail(other),
-            domain=self.domain,
-        )
-
-    def __sub__(self, other) -> "EdgeFunction":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "EdgeFunction":
-        other = self._coerce(other)
-        if other._quotient_of is not None and other._quotient_of[1] is self:
-            # g * (f/g) = f exactly
-            return other._quotient_of[0]
-        if self._quotient_of is not None and self._quotient_of[1] is other:
-            return self._quotient_of[0]
-        out = EdgeFunction(
-            lambda x: self._value(x) * other._value(x),
-            derivative_factory=lambda: self.derivative() * other + self * other.derivative(),
-            tail_bound=self._combine_tail(other),
-            domain=self.domain,
-        )
-        out._product_of = (self, other)
-        return out
-
-    def divide(self, den: "EdgeFunction") -> "EdgeFunction":
-        if self._product_of is not None:
-            left, right = self._product_of
-            if right is den:
-                return left
-            if left is den:
-                return right
-        out = EdgeFunction(
-            lambda x: self._value(x) / den._value(x),
-            derivative_factory=lambda: (self.derivative() * den - self * den.derivative()).divide(den * den),
-            tail_bound=self._combine_tail(den),
-            domain=self.domain,
-        )
-        out._quotient_of = (self, den)
-        return out
+        return EdgeFunction(_neg(self.node), tail_bound=self.tail_bound, domain=self.domain)
 
     def scale(self, c: float) -> "EdgeFunction":
-        c = float(c)
-        return EdgeFunction(
-            lambda x: c * self._value(x),
-            derivative_factory=lambda: self.derivative().scale(c),
-            tail_bound=self.tail_bound,
-            domain=self.domain,
-        )
+        return EdgeFunction(_mul(Num(float(c)), self.node), tail_bound=self.tail_bound, domain=self.domain)
 
     def _coerce(self, other) -> "EdgeFunction":
         if isinstance(other, EdgeFunction):
@@ -248,17 +166,9 @@ class EdgeFunction:
         return EdgeFunction.constant(float(other), self.domain)
 
     def reversed_chart(self, length: float, sign: int) -> "EdgeFunction":
-        """Coefficient after the chart reversal y = -length - x."""
-
-        def f(y):
-            return sign * self._value(-length - np.asarray(y, dtype=float))
-
-        return EdgeFunction(
-            f,
-            derivative_factory=lambda: self.derivative().reversed_chart(length, -sign),
-            tail_bound=None,
-            domain=self.domain,
-        )
+        """Coefficient after the chart reversal y = -length - x: the tree read at -length - x."""
+        node = Opaque(self.node, Sub(Num(-float(length)), Var()), self.node.diff)
+        return EdgeFunction(node if sign > 0 else _neg(node), domain=self.domain)
 
 
 @dataclass(frozen=True)
@@ -291,7 +201,7 @@ class Superform:
             elif isinstance(fn, (int, float, Fraction)):
                 fn = EdgeFunction.constant(fn, e.chart)
             elif isinstance(fn, EdgeFunction):
-                fn = EdgeFunction(fn._value, fn._derivative_factory, fn.tail_bound, e.chart)
+                fn = EdgeFunction(fn.node, tail_bound=fn.tail_bound, domain=e.chart)
             else:
                 raise TypeError(f"bad coefficient for edge {e.id!r}: {fn!r}")
             out[e.id] = fn

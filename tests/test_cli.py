@@ -139,6 +139,16 @@ def test_verify_h_list_needs_a_value(triangle_file, capsys):
     assert "--h-list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_needs_at_least_one_test_form(triangle_file, capsys, count):
+    # with no forms the stokes and integration-by-parts checks would pass on no samples
+    assert run(["verify", triangle_file, "--forms", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "ValueError" and "at least one test form" in error["message"]
+
+
 def test_theta_subcommand(triangle_file, capsys):
     assert run(["theta", triangle_file]) == 0
     out = json.loads(capsys.readouterr().out)

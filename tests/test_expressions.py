@@ -142,11 +142,17 @@ import operator
 
 from hypothesis import assume
 
-from trophodge.expressions import MAX_DEPTH, MAX_NODES, Add, Div, Exp, Expression, Mul, Neg, Num, Pow, Sub, Var
+from trophodge.expressions import MAX_DEPTH, MAX_NODES, Add, Div, Exp, Expression, Mul, Neg, Num, Opaque, Pow, Sub, Var
+
+# opaque nodes with known derivatives: sin' = cos, cos' = -sin
+SIN = Opaque(np.sin, derivative=lambda: COS)
+COS = Opaque(np.cos, derivative=lambda: Neg(SIN))
 
 
 def reference(node, x):
     """Per-node recursive evaluation: literals as arrays of x's shape for array x, Python floats otherwise."""
+    if isinstance(node, Opaque):
+        return node.fn(reference(node.arg, x))
     if isinstance(node, Num):
         return np.full_like(np.asarray(x, dtype=float), node.value) if np.ndim(x) else node.value
     if isinstance(node, Var):
@@ -196,7 +202,7 @@ def _size_and_depth(node):
 
 LITERALS = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.25, -1.5, 1e200]).map(Num)
 trees = st.recursive(
-    st.just(Var()) | LITERALS,
+    st.just(Var()) | LITERALS | st.just(SIN),
     lambda sub: st.one_of(
         st.builds(Neg, sub), st.builds(Exp, sub), st.builds(Pow, sub, st.integers(-3, 3)),
         *(st.builds(cls, sub, sub) for cls in (Add, Sub, Mul, Div)),
@@ -256,5 +262,6 @@ def test_parse_diff_and_tape_are_built_once():
     assert parse_expression("2*exp(2*x)/(1+exp(2*x))^2") is tree
     assert tree.diff() is tree.diff()
     fn = EdgeFunction.from_expression("2*exp(2*x)/(1+exp(2*x))^2")
-    assert fn._value is tree.tape
-    assert fn.derivative()._value is fn.derivative()._value is tree.diff().tape
+    assert fn.node is tree
+    assert fn.derivative().node is fn.derivative().node is tree.diff()
+    assert fn.derivative().node.tape is tree.diff().tape

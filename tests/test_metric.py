@@ -222,6 +222,18 @@ def test_laplacian_top_degree_matches_composition_oracle():
     assert np.allclose(coeff(out, "left", xs), -2.0 * np.exp(2 * xs), rtol=1e-10)
 
 
+def test_laplacian_top_degree_shares_the_weight_and_its_derivatives():
+    # -(f/g)'' reads g, g' and g'' of the Fubini-Study weight: one tape, one exp(2*x) for all of them
+    from trophodge.checks import DECAY
+    from trophodge.expressions import _OPS
+
+    form = Superform.on_curve(TP1, (1, 1), {"left": DECAY, "right": DECAY})
+    steps = laplacian(form, GFS).coefficients["left"].node.tape.steps
+    ops = [op for _, op, _, _ in steps]
+    assert set(ops) <= set(_OPS.values())  # no step calls out to another tape
+    assert ops.count(np.exp) == 1
+
+
 def test_star_commutes_with_laplacian():
     g = KahlerForm.from_spec(TRI, {e: {"kind": "expr", "formula": "1+x^2"} for e in ("ab", "bc", "ca")})
     form = Superform.on_curve(TRI, (1, 0), {"ab": "x^3", "bc": "exp(x)", "ca": "1+x"})
