@@ -3,8 +3,8 @@
 Each suite asserts one family of proved identities and reports a
 residual against a hard tolerance; a failing check never aborts the
 suite.  Random test forms have polynomial coefficients from a seeded
-generator (plus a tail window on infinite edges) projected onto the
-regular subspace by a minimum-norm least-squares correction, so the
+generator (plus a tail window on infinite edges) whose end values are
+drawn junction by junction to meet the vertex conditions, so the
 reports are reproducible from (curve, weight, seed).
 """
 
@@ -46,7 +46,8 @@ __all__ = [
 _TAIL_WINDOW_BOUND = -8.0 * math.log(2.0)
 # tail mass and second moment left beyond the cut of an infinite edge
 TRUNC_EPS = 1e-4
-DEGREE = 3  # of the test forms' polynomial coefficients on finite edges
+H_LIST = (1 / 16, 1 / 32)  # mesh steps of the hodge checks' discrete kernels
+FORM_COUNT = 20  # test forms per family in run_verification
 DECAY = "exp(2*x)/(1+exp(2*x))"  # decays at -inf like the Fubini-Study weight
 
 
@@ -138,70 +139,60 @@ def band_window(rise: tuple[float, float], fall: tuple[float, float], domain) ->
     return out
 
 
+def _cubic(head: float, tail: float, e, r0: float, r1: float) -> EdgeFunction:
+    """H + (H - T) x / l + x (x + l)(r0 + r1 x) on a finite edge: the end
+    values H at the head and T at the tail, plus a bubble vanishing at both."""
+    l = e.length
+    return EdgeFunction.polynomial([head, (head - tail) / l + l * r0, r0 + l * r1, r1], domain=e.chart)
+
+
 def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) -> list[Superform]:
     """Seeded random regular superforms.
 
-    Finite edges carry polynomial coefficients of degree <= ``DEGREE``;
-    infinite edges carry a windowed linear coefficient (plus a constant
-    for (0,0) forms, which only need to be eventually constant).  The
-    vertex conditions are enforced by the minimum-norm least-squares
-    correction of the coefficient vector.
+    The canonical end values are drawn junction by junction so that the
+    vertex conditions hold by construction: one value per junction for
+    (0,0) forms; for (1,0) forms one value w per end, minus the
+    junction's mean (the orthogonal projection onto sum w = 0), times the
+    end's Kirchhoff sign.  An end in no junction gets a free value.
+    Finite edges carry the cubic through their two end values with a
+    random bubble; infinite edges a windowed linear coefficient through
+    the head value (plus a constant for (0,0) forms, which only need to
+    be eventually constant).
     """
     bd = Bidegree.of(bidegree)
     if bd.as_tuple() not in ((0, 0), (1, 0)):
         raise ValueError("test families are generated in bidegrees (0,0) and (1,0)")
-    scalar = int(bd.as_tuple() == (0, 0))
+    scalar = bd.p == 0
     rng = np.random.default_rng(seed)
-    finite = curve.finite_edges()
-    infinite = curve.infinite_edges()
-
-    # each edge's coefficients run from start[e.id]: DEGREE + 1 polynomial
-    # ones on a finite edge; on an infinite one the constant of a (0,0)
-    # form, then the windowed linear pair
-    start = {}
-    n = 0
-    for e in finite + infinite:
-        start[e.id] = n
-        n += 2 + scalar if e.infinite else DEGREE + 1
-
-    def end_value_row(e, side) -> np.ndarray:
-        """Coefficient-vector functional for the canonical end value."""
-        row = np.zeros(n)
-        s = start[e.id]
-        if not e.infinite:
-            x0 = 0.0 if side == "head" else -e.length
-            row[s:s + DEGREE + 1] = [x0**k_power for k_power in range(DEGREE + 1)]
-        else:
-            # the window equals 1 at the head; the tail end is at -inf
-            row[s:s + 1 + scalar] = 1.0
-        return row
-
-    rows = []
-    for _, ends in curve.junctions():
-        if scalar:  # continuity: every end value equals the first
-            reference = end_value_row(*ends[0][:2])
-            rows += [end_value_row(e, side) - reference for e, side, _ in ends[1:]]
-        else:  # Kirchhoff: the signed end values sum to zero
-            rows.append(sum(sign * end_value_row(e, side) for e, side, sign in ends))
-
-    A = np.asarray(rows) if rows else np.zeros((0, n))
+    junctions = [ends for _, ends in curve.junctions()]
 
     forms = []
     for _ in range(count):
-        a = rng.uniform(-1.0, 1.0, size=n)
-        if A.shape[0]:
-            correction, *_ = np.linalg.lstsq(A, A @ a, rcond=None)
-            a = a - correction
+        end = {}  # (edge id, side) -> canonical end value
+        for ends in junctions:
+            if scalar:  # continuity: one value for every end
+                values = [rng.uniform(-1.0, 1.0)] * len(ends)
+            else:  # Kirchhoff: vertex-local values w summing to zero; the canonical value is sign * w
+                w = rng.uniform(-1.0, 1.0, size=len(ends))
+                values = [sign * v for (_, _, sign), v in zip(ends, w - w.mean())]
+            end.update(((e.id, side), value) for (e, side, _), value in zip(ends, values))
+
+        def end_value(e, side):
+            return end[e.id, side] if (e.id, side) in end else rng.uniform(-1.0, 1.0)
+
         coeffs = {}
-        for e in finite:
-            s = start[e.id]
-            coeffs[e.id] = EdgeFunction.polynomial(a[s:s + DEGREE + 1], domain=e.chart)
-        for e in infinite:
-            s = start[e.id] + scalar
-            linear = EdgeFunction.polynomial(a[s:s + 2], domain=e.chart)
+        for e in curve.sorted_edges():
+            head = end_value(e, "head")
+            if not e.infinite:
+                r0, r1 = rng.uniform(-1.0, 1.0, size=2)
+                coeffs[e.id] = _cubic(head, end_value(e, "tail"), e, r0, r1)
+                continue
+            # the window equals 1 at the head and 0 beyond _TAIL_WINDOW_BOUND
+            a0 = rng.uniform(-1.0, 1.0) if scalar else head
+            linear = EdgeFunction.polynomial([a0, rng.uniform(-1.0, 1.0)], domain=e.chart)
             fn = linear * _smoothstep_window(_TAIL_WINDOW_BOUND, e.chart)
             if scalar:
-                fn = fn + EdgeFunction.constant(a[s - 1], e.chart)
+                fn = fn + EdgeFunction.constant(head - a0, e.chart)
             fn.tail_bound = _TAIL_WINDOW_BOUND
             coeffs[e.id] = fn
         forms.append(Superform(bd, coeffs))
@@ -275,9 +266,10 @@ def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superf
     """A weakly differentiable (0,0)/(1,0) pair, decaying on infinite edges.
 
     Infinite edges carry multiples of ``DECAY``, so the pair exercises the
-    tail estimates without being regular at infinity.  Vertex values are
-    matched for continuity; the (1,0) end values are projected onto the
-    Kirchhoff constraints.
+    tail estimates without being regular at infinity.  The (0,0) form
+    takes one value per vertex, continued by cubics on finite edges; the
+    (1,0) form is a regular test form with its tails swapped for decaying
+    ones of the same end values.
     """
     rng = np.random.default_rng(seed)
     vertex_value = {v: rng.uniform(-1.0, 1.0) for v in curve.sorted_vertices()}
@@ -289,14 +281,8 @@ def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superf
             fn = EdgeFunction.from_expression(DECAY, domain=e.chart).scale(amp)
             psi_coeffs[e.id] = fn + EdgeFunction.constant(shift, e.chart)
         else:
-            head, tail = vertex_value[e.head], vertex_value[e.tail]
-            l = e.length
             r0, r1 = rng.uniform(-1.0, 1.0, size=2)
-            # linear interpolation of the vertex values plus a bubble
-            # x(x+l)(r0 + r1 x) vanishing at both ends
-            base = EdgeFunction.polynomial([head, (head - tail) / l], domain=e.chart)
-            shape = EdgeFunction.polynomial([0.0, l, 1.0], domain=e.chart)
-            psi_coeffs[e.id] = base + shape * EdgeFunction.polynomial([r0, r1], domain=e.chart)
+            psi_coeffs[e.id] = _cubic(vertex_value[e.head], vertex_value[e.tail], e, r0, r1)
     psi = Superform(Bidegree(0, 0), psi_coeffs)
 
     phi = regular_test_forms(curve, (1, 0), 1, seed + 31)[0]
@@ -334,7 +320,7 @@ def _principal_angle(system, spectral, basis) -> float:
     return float(np.arccos(np.clip(cosines.min(), -1.0, 1.0)))
 
 
-def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=(1 / 16, 1 / 32)) -> CheckReport:
+def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=H_LIST) -> CheckReport:
     """Cross-checks every computation of the harmonic dimensions.
 
     genus = topological betti_1 = exact (1,0) nullspace dimension =
@@ -431,8 +417,13 @@ def _sup_difference(curve, form_a, form_b) -> float:
     return worst
 
 
-def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
-    """Smooth forms with exact derivative chains for the star identities."""
+def _star_family(curve: TropicalCurve, bidegree, g: KahlerForm) -> list[Superform]:
+    """Smooth forms with exact derivative chains for the star identities.
+
+    (1,1) forms carry g h on legs, so their scalar products integrate
+    g h^2 with |h| <= 1 + |x|: they converge wherever the mass and second
+    moment of g do, which ``validate_kahler`` checks.
+    """
     coeff_sets = [
         {"finite": "1", "infinite": DECAY},
         {"finite": "x^2-0.5*x", "infinite": f"(1+x)*({DECAY})^2"},
@@ -444,6 +435,8 @@ def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
         for e in curve.sorted_edges():
             source = spec["infinite"] if e.infinite else spec["finite"]
             coeffs[e.id] = EdgeFunction.from_expression(source, domain=e.chart)
+            if e.infinite and bidegree == (1, 1):
+                coeffs[e.id] = coeffs[e.id] * g.weights[e.id]
         forms.append(Superform(Bidegree(*bidegree), coeffs))
     return forms
 
@@ -451,7 +444,7 @@ def _star_family(curve: TropicalCurve, bidegree) -> list[Superform]:
 def check_star_identities(curve: TropicalCurve, g: KahlerForm) -> CheckReport:
     """Star involution sign, star isometry, star/Laplacian commutation."""
     report = CheckReport()
-    families = {(p, q): _star_family(curve, (p, q)) for p, q in ((0, 0), (1, 0), (0, 1), (1, 1))}
+    families = {(p, q): _star_family(curve, (p, q), g) for p, q in ((0, 0), (1, 0), (0, 1), (1, 1))}
 
     start = time.perf_counter()
     worst = 0.0
@@ -565,8 +558,8 @@ def check_theta_correspondence() -> CheckReport:
     return report
 
 
-def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=(1 / 16, 1 / 32),
-                     form_count: int = 20) -> CheckReport:
+def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=H_LIST,
+                     form_count: int = FORM_COUNT) -> CheckReport:
     """All verification suites on one curve, run in a fixed order; form_count must be at least 1."""
     if form_count < 1:
         raise ValueError(f"verification needs at least one test form per family, got {form_count}")

@@ -88,9 +88,9 @@ def _build_parser():
     p.add_argument("--csv", default=None, help="also write index,eigenvalue,h rows here")
 
     p = add("verify", "run every verification suite")
-    p.add_argument("--h-list", nargs="+", type=float, default=[1 / 16, 1 / 32])
+    p.add_argument("--h-list", nargs="+", type=float, default=checks_module.H_LIST)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--forms", type=int, default=20, help="test forms per family")
+    p.add_argument("--forms", type=int, default=checks_module.FORM_COUNT, help="test forms per family")
     p.add_argument("--timings", action="store_true", help="include wall-clock seconds per check")
 
     add("theta", "tropical vs annulus integral comparisons")

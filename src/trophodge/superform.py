@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .curve import Edge, TropicalCurve
+from .curve import TropicalCurve
 from .expressions import Expression, Num, Opaque, Sub, Var, _add, _div, _mul, _neg, _sub, parse_expression, polynomial
 
 __all__ = [
@@ -278,24 +278,6 @@ def evaluate(form: Superform, edge: str, x: float) -> float:
     return float(fn(x))
 
 
-def end_value(form: Superform, edge: Edge, end: str) -> float:
-    """Vertex-local coefficient value at one edge-end.
-
-    The canonical chart already has the head at 0; a tail end is read
-    through the chart reversal, which contributes the sign (-1)^(p+q)
-    for (1,0)- and (0,1)-forms.
-    """
-    fn = form.coefficients[edge.id]
-    if end == "head":
-        return float(fn(0.0))
-    if edge.infinite:
-        raise ValueError(f"tail of infinite edge {edge.id!r} is a point at -inf")
-    value = float(fn(-edge.length))
-    if form.bidegree.total == 1:
-        value = -value
-    return value
-
-
 _TAIL_OFFSETS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -349,7 +331,10 @@ def is_regular(form: Superform, curve: TropicalCurve, tol: float = 1e-10) -> Reg
     at_infinity: dict = {}
 
     for v, ends in curve.junctions() if bd.q == 0 else ():  # no vertex condition binds q = 1
-        values = [end_value(form, e, side) for e, side, _ in ends]
+        # vertex-local value: the chart's value at the end; at a tail the
+        # chart reversal contributes (-1)^(p+q), the Kirchhoff sign to the p
+        values = [sign**bd.p * float(form.coefficients[e.id](0.0 if side == "head" else -e.length))
+                  for e, side, sign in ends]
         if bd.p == 0:
             spread = max(values) - min(values)
             continuity[v] = (spread <= tol, f"end values spread {spread:.3e}")

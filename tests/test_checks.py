@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,16 +18,65 @@ from trophodge.checks import (
     regular_test_forms,
     run_verification,
 )
+from trophodge.curve import Edge, TropicalCurve
 from trophodge.metric import KahlerForm, integrate
 from trophodge.superform import Superform, d_second, is_regular, wedge
 
 
+def _grid(n: int, legs: int) -> TropicalCurve:
+    """The n x n lattice with mixed orientations and lengths, plus legs at its first vertices."""
+    vertices = [f"v{i}_{j}" for i in range(n) for j in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            for eid, (a, b) in ((f"h{i}_{j}", (i + 1, j)), (f"w{i}_{j}", (i, j + 1))):
+                if a < n and b < n:
+                    ends = [f"v{i}_{j}", f"v{a}_{b}"][::(-1) ** (i + j)]
+                    edges.append(Edge(eid, *ends, (1.0, 2.0, 3.0)[len(edges) % 3]))
+    for k in range(legs):
+        vertices.append(f"leaf{k}")
+        edges.append(Edge(f"leg{k}", f"leaf{k}", vertices[k], math.inf))
+    return TropicalCurve(tuple(vertices), tuple(edges))
+
+
+def _looped() -> TropicalCurve:
+    """A triangle with a self-loop at A and a leg at B."""
+    return TropicalCurve(
+        ("A", "B", "C", "L"),
+        (
+            Edge("ab", "A", "B", 1.0),
+            Edge("bc", "B", "C", 2.0),
+            Edge("ca", "C", "A", 1.5),
+            Edge("loop", "A", "A", 0.5),
+            Edge("leg", "L", "B", math.inf),
+        ),
+    )
+
+
 def test_regular_test_forms_pass_regularity():
-    for factory in (curves.triangle, curves.projective_line, curves.triangle_with_legs):
+    factories = (curves.triangle, curves.projective_line, curves.triangle_with_legs, curves.theta_graph,
+                 curves.k4, lambda: curves.star(4), _looped, lambda: _grid(3, 2), curves.single_edge)
+    for factory in factories:
         curve = factory()
         for bidegree in ((0, 0), (1, 0)):
             for form in regular_test_forms(curve, bidegree, 4, seed=2):
-                assert is_regular(form, curve).passed
+                report = is_regular(form, curve, tol=1e-12)
+                assert report.passed
+                vertex_entries = report.continuity if bidegree == (0, 0) else report.kirchhoff
+                assert len(vertex_entries) == len(curve.junctions())
+
+
+def test_test_forms_need_no_linear_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("test forms are built in closed form")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for curve in (_grid(6, 2), _looped()):
+        for bidegree in ((0, 0), (1, 0)):
+            assert len(regular_test_forms(curve, bidegree, 2, seed=4)) == 2
+        psi, phi = energy_test_pair(curve, 4)
+        assert set(psi.coefficients) == set(phi.coefficients) == {e.id for e in curve.edges}
 
 
 def test_regular_test_forms_are_seeded():
@@ -40,8 +90,6 @@ def test_regular_test_forms_are_seeded():
 
 
 def test_band_window_support():
-    import math
-
     ln2 = math.log(2)
     dom = (-math.inf, 0.0)
     w = band_window((-8 * ln2, -6 * ln2), (-4 * ln2, -2 * ln2), dom)
@@ -72,9 +120,6 @@ def test_check_stokes_residual_is_quadrature_level_on_tails():
 def test_check_integration_by_parts_closed_form_pair():
     # psi = x and phi = x d'x on the middle edge of a two-leg path; the
     # two integrals are +1/2 and -1/2 in closed form
-    import math
-
-    from trophodge.curve import Edge, TropicalCurve
     from trophodge.superform import EdgeFunction
 
     path = TropicalCurve(
@@ -395,8 +440,6 @@ def test_dbar_dropping_one_edge_turns_stokes_closed_red(monkeypatch):
 
 
 def test_annulus_integral_scaled_by_2pi_turns_theta_checks_red(monkeypatch):
-    import math
-
     from trophodge import theta
 
     annulus_integral = theta.annulus_integral

@@ -276,21 +276,49 @@ def test_verify_passes_on_legs_of_other_decay_rates(tmp_path, capsys, curve, kah
     assert all(c["status"] == "pass" for c in json.loads(capsys.readouterr().out)["checks"])
 
 
-def test_divergent_star_isometry_is_a_failed_check(tmp_path, capsys):
-    # the weight decays like e^{4x} on leg1, so 1/g outgrows the squared
-    # (1,1) test coefficients there and their scalar products diverge
+def _narrow_leg_file(tmp_path) -> str:
+    # the weight decays like e^{4x} on leg1, faster than the (1,1) test
+    # coefficients' squares grow against 1/g unless they carry g there
     doc = json.loads(serialize(curves.star(4)))
     doc["kahler"] = {"leg1": {"kind": "expr", "formula": "4*exp(4*x)/(1+exp(4*x))^2"}}
     path = tmp_path / "narrow.json"
     path.write_text(json.dumps(doc))
-    assert run(["verify", str(path)]) == 1
-    captured = capsys.readouterr()
+    return str(path)
+
+
+def _strict_report(captured) -> dict:
     assert captured.err == ""
 
     def refuse(name):
         raise AssertionError(f"report is not strict JSON: {name}")
 
-    report = json.loads(captured.out, parse_constant=refuse)
+    return json.loads(captured.out, parse_constant=refuse)
+
+
+def test_narrow_leg_passes_star_isometry(tmp_path, capsys):
+    assert run(["verify", _narrow_leg_file(tmp_path)]) == 0
+    report = _strict_report(capsys.readouterr())
+    assert len(report["checks"]) == 13
+    assert {c["status"] for c in report["checks"]} == {"pass"}
+    assert not any("diverge" in note for note in report["notes"])
+
+
+def test_divergent_star_isometry_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    from trophodge import checks
+    from trophodge.quadrature import DivergenceError
+
+    inner_product = checks.inner_product
+    diverged = []
+
+    def diverging_once(a, b, g):
+        if a.bidegree.as_tuple() == (1, 1) and not diverged:
+            diverged.append((a, b))
+            raise DivergenceError("refinements failed to stabilize")
+        return inner_product(a, b, g)
+
+    monkeypatch.setattr(checks, "inner_product", diverging_once)
+    assert run(["verify", _narrow_leg_file(tmp_path)]) == 1
+    report = _strict_report(capsys.readouterr())
     status = {c["id"]: c["status"] for c in report["checks"]}
     assert status.pop("star-isometry") == "fail"
     assert set(status.values()) == {"pass"}

@@ -219,7 +219,7 @@ def test_edge_ends_match_a_scan_of_the_edges(curve):
 
 @pytest.mark.parametrize("factory", [curves.triangle, curves.theta_graph, curves.k4, curves.triangle_with_legs])
 def test_condition_4_holds_by_construction(factory):
-    from trophodge.superform import Superform, end_value
+    from trophodge.superform import Superform
 
     curve = parse_curve(serialize(factory()))
     four = next(c for c in validate(curve).conditions if c.condition == "4")
@@ -227,5 +227,5 @@ def test_condition_4_holds_by_construction(factory):
     form = Superform.on_curve(curve, (0, 0), {e.id: "x" for e in curve.finite_edges()})
     for e in curve.finite_edges():
         assert e.chart == (-e.length, 0.0)
-        assert end_value(form, e, "head") == 0.0
-        assert end_value(form, e, "tail") == -e.length
+        assert form.coefficients[e.id](0.0) == 0.0
+        assert form.coefficients[e.id](-e.length) == -e.length
