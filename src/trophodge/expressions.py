@@ -13,13 +13,16 @@ The product and quotient helpers cancel g*(f/g) and (f*g)/g to f when
 both g are one node, so the Hodge star applied twice returns its input.
 
 Trees are immutable, so each node caches what is derived from it.
-``node.diff()`` builds the derivative once.  ``node(x)`` (or
-``node.eval(x)``) runs the node's ``Tape``: the tree compiled once into
-straight-line code with one step per structurally distinct subtree, so
-``exp(2*x)`` repeated across a derivative chain is computed once per
-call.  ``parse_expression`` caches its trees by source text.  A float x
-gives Python-float arithmetic, an array x numpy arithmetic and an array
-of its shape.
+``node.diff()`` builds the derivative once.  ``parse_expression`` caches
+its trees by source text and marks each as a unit, as is every
+derivative of a unit.  ``node(x)`` (or ``node.eval(x)``) on a unit runs
+its ``Tape``: the tree compiled into straight-line code with one step
+per structurally distinct subtree, so ``exp(2*x)`` repeated across a
+derivative chain is computed once per call.  Any other tree walks on
+its first call, since most are called once, and compiles on its second.
+Both call a unit below the root as one step, through its tape.  A float
+x gives Python-float arithmetic, an array x numpy arithmetic and an
+array of its shape; the walk and the tape give the same bits.
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ class Expression:
     def _derivative(self) -> "Expression":
         raise NotImplementedError
 
-    # both caches live in the instance dict, which a frozen dataclass leaves writable
+    # the caches and the unit mark live in the instance dict, which a frozen dataclass leaves writable
     def diff(self) -> "Expression":
-        """The exact derivative, built once per node."""
+        """The exact derivative, built once per node; a unit's derivative is a unit."""
         d = self.__dict__.get("_diff")
         if d is None:
             d = self.__dict__["_diff"] = self._derivative()
+            if "_unit" in self.__dict__:
+                _mark_unit(d)
         return d
 
     @property
@@ -64,11 +69,15 @@ class Expression:
             tape = self.__dict__["_tape"] = Tape(self)
         return tape
 
-    def eval(self, x):
-        return self.tape(x)
-
     def __call__(self, x):
-        return self.tape(x)
+        """A unit runs its tape; another tree walks on its first call and compiles on its second."""
+        state = self.__dict__
+        if "_tape" in state or "_unit" in state or "_walked" in state:
+            return self.tape(x)
+        state["_walked"] = True
+        return _walk(self, x)
+
+    eval = __call__
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,8 @@ class Tape:
 
     Slot 0 holds x and the next slots the tree's literals; each step
     stores ``op(slot a)`` or ``op(slot a, slot b)`` in a slot of its own,
-    op an operator, exp or an opaque node's fn.  A step is keyed by its
+    op an operator, exp, an opaque node's fn, or the tape of a unit below
+    the root, which reads slot 0.  A step is keyed by its
     operation and argument values, so equal subtrees share one step.  A
     step takes over a slot whose value no later step reads, so a call
     keeps few arrays alive at once, not one per step.  A scalar x runs
@@ -214,7 +224,9 @@ class Tape:
             if value is None:
                 kind = type(node)
                 op = _OPS.get(kind)
-                if kind in _BINARY:
+                if node is not root and "_unit" in node.__dict__:
+                    op, a, b = node.tape, 0, None
+                elif kind in _BINARY:
                     a, b = visit(node.left), visit(node.right)
                 elif kind is Opaque:
                     op, a, b = node.fn, visit(node.arg), None
@@ -266,6 +278,65 @@ class Tape:
             vals[out] = op(vals[a]) if b is None else op(vals[a], vals[b])
         out = vals[self.root]
         return np.full(x.shape, out[0]) if array and self.constant else out
+
+
+def _walk(root: Expression, x):
+    """root at x without a tape: each distinct node once, in the tape's order and with its operations.
+
+    A pre-pass counts readers, and a value is dropped after its last read, as the tape reuses slots."""
+    array = bool(np.ndim(x))
+    x = np.asarray(x, dtype=float) if array else float(x)
+    readers, values, varying = {}, {}, []
+
+    def count(node: Expression):
+        key = id(node)
+        if key in readers:
+            readers[key] += 1
+            return
+        readers[key] = 1
+        kind = type(node)
+        if kind is Var or (node is not root and "_unit" in node.__dict__):
+            varying.append(node)
+        elif kind in _BINARY:
+            count(node.left)
+            count(node.right)
+        elif kind is not Num:
+            count(node.base if kind is Pow else node.arg)
+
+    def value(node: Expression):
+        key = id(node)
+        v = values.get(key)
+        if v is None:
+            kind = type(node)
+            if kind is Num:
+                v = np.array([float(node.value)]) if array else float(node.value)
+            elif kind is Var:
+                v = x
+            elif node is not root and "_unit" in node.__dict__:
+                v = node.tape(x)
+            elif kind in _BINARY:
+                v = _OPS[kind](value(node.left), value(node.right))
+            elif kind is Opaque:
+                v = node.fn(value(node.arg))
+            elif kind is Pow:
+                v = value(node.base) ** node.exponent
+            else:
+                v = _OPS[kind](value(node.arg))
+        readers[key] -= 1
+        if readers[key]:
+            values[key] = v
+        else:
+            values.pop(key, None)
+        return v
+
+    count(root)
+    out = value(root)
+    return np.full(x.shape, out[0]) if array and not varying else out
+
+
+def _mark_unit(node: Expression) -> None:
+    if type(node) not in (Num, Var):
+        node.__dict__["_unit"] = True
 
 
 def _fields(node: Expression) -> list:
@@ -534,6 +605,7 @@ def parse_expression(text: str) -> Expression:
         if level > MAX_DEPTH:
             raise ExpressionError(f"expression tree is deeper than {MAX_DEPTH} levels", 0)
         stack.extend((c, level + 1) for c in _fields(node) if isinstance(c, Expression))
+    _mark_unit(tree)
     return tree
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -301,6 +302,14 @@ def test_narrow_leg_passes_star_isometry(tmp_path, capsys):
     assert len(report["checks"]) == 13
     assert {c["status"] for c in report["checks"]} == {"pass"}
     assert not any("diverge" in note for note in report["notes"])
+
+
+def test_laplacian_formula_note_is_finite_on_a_narrow_leg(tmp_path, capsys):
+    # the note's leg coefficient carries g; DECAY alone gave 4.6e+26 here
+    assert run(["verify", _narrow_leg_file(tmp_path)]) == 0
+    notes = _strict_report(capsys.readouterr())["notes"]
+    [figure] = [float(re.search(r"differ by up to (\S+)", n).group(1)) for n in notes if "differ by up to" in n]
+    assert figure < 100.0
 
 
 def test_divergent_star_isometry_is_a_failed_check(tmp_path, capsys, monkeypatch):

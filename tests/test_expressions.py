@@ -142,7 +142,9 @@ import operator
 
 from hypothesis import assume
 
-from trophodge.expressions import MAX_DEPTH, MAX_NODES, Add, Div, Exp, Expression, Mul, Neg, Num, Opaque, Pow, Sub, Var
+from trophodge.checks import DECAY
+from trophodge.expressions import (MAX_DEPTH, MAX_NODES, Add, Div, Exp, Expression, Mul, Neg, Num, Opaque, Pow, Sub, Var,
+                                   _walk)
 
 # opaque nodes with known derivatives: sin' = cos, cos' = -sin
 SIN = Opaque(np.sin, derivative=lambda: COS)
@@ -189,8 +191,11 @@ POINTS = [0.0, -1.25, 0.7, 3, np.float64(-0.3), np.linspace(-2.0, 2.0, 9), np.ar
 
 
 def assert_tape_matches_reference(tree):
+    """The first-call walk and the compiled tape each match the reference at every point."""
     for x in POINTS:
-        assert outcome(lambda node, x: node(x), tree, x) == outcome(reference, tree, x), (tree, x)
+        expected = outcome(reference, tree, x)
+        assert outcome(_walk, tree, x) == expected, ("walk", tree, x)
+        assert outcome(lambda node, x: node.tape(x), tree, x) == expected, ("tape", tree, x)
 
 
 def _size_and_depth(node):
@@ -201,8 +206,9 @@ def _size_and_depth(node):
 
 
 LITERALS = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.25, -1.5, 1e200]).map(Num)
+UNITS = st.sampled_from([parse_expression(DECAY), parse_expression(DECAY).diff()])  # called through their tapes
 trees = st.recursive(
-    st.just(Var()) | LITERALS | st.just(SIN),
+    st.just(Var()) | LITERALS | st.just(SIN) | UNITS,
     lambda sub: st.one_of(
         st.builds(Neg, sub), st.builds(Exp, sub), st.builds(Pow, sub, st.integers(-3, 3)),
         *(st.builds(cls, sub, sub) for cls in (Add, Sub, Mul, Div)),
@@ -253,6 +259,45 @@ def test_constant_root_returns_a_fresh_array_of_the_input_shape():
     one = parse_expression("3")(np.zeros(1))
     one[0] = 7.0
     assert parse_expression("3")(np.zeros(1))[0] == 3.0
+
+
+def test_a_tree_walks_on_its_first_call_and_compiles_on_its_second():
+    x = Var()
+    tree = Add(Exp(Mul(Num(2.0), x)), Neg(x))
+    assert tree(0.5) == np.exp(1.0) - 0.5
+    assert "_tape" not in tree.__dict__
+    tree(np.zeros(3))
+    assert "_tape" in tree.__dict__
+    unit = parse_expression("exp(3*x)-x/7")  # a unit compiles on its first call
+    unit(0.5)
+    assert "_tape" in unit.__dict__
+    assert "_unit" not in parse_expression("x").__dict__ and "_unit" not in parse_expression("2").__dict__
+
+
+def test_a_unit_below_the_root_is_one_step():
+    unit = parse_expression(DECAY).diff()
+    steps = Mul(Num(2.0), unit).tape.steps
+    assert len(steps) == 2
+    assert steps[0][1] is unit.tape
+
+
+def test_first_call_keeps_few_arrays_alive():
+    # the walk drops each value after its last read; keeping them all would hold 80 arrays here
+    import tracemalloc
+
+    x = Var()
+    tree = x
+    for _ in range(40):
+        tree = Add(Mul(tree, Num(1.5)), x)
+    grid = np.linspace(-1.0, 1.0, 2**18)
+    tracemalloc.start()
+    try:
+        tree(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_tape" not in tree.__dict__
+    assert peak < 4 * grid.nbytes
 
 
 def test_parse_diff_and_tape_are_built_once():

@@ -223,15 +223,19 @@ def test_laplacian_top_degree_matches_composition_oracle():
 
 
 def test_laplacian_top_degree_shares_the_weight_and_its_derivatives():
-    # -(f/g)'' reads g, g' and g'' of the Fubini-Study weight: one tape, one exp(2*x) for all of them
+    # -(f/g)'' reads f, f', f'', g, g' and g'': parse-cached units, each compiled once with
+    # one exp(2*x), and called by the Laplacian's tape as one step each
     from trophodge.checks import DECAY
-    from trophodge.expressions import _OPS
+    from trophodge.expressions import _OPS, Tape
 
     form = Superform.on_curve(TP1, (1, 1), {"left": DECAY, "right": DECAY})
-    steps = laplacian(form, GFS).coefficients["left"].node.tape.steps
-    ops = [op for _, op, _, _ in steps]
-    assert set(ops) <= set(_OPS.values())  # no step calls out to another tape
-    assert ops.count(np.exp) == 1
+    ops = [op for _, op, _, _ in laplacian(form, GFS).coefficients["left"].node.tape.steps]
+    units = {op for op in ops if isinstance(op, Tape)}
+    assert len(units) == 6
+    assert set(ops) - units <= set(_OPS.values()) and np.exp not in ops
+    for unit in units:
+        unit_ops = [op for _, op, _, _ in unit.steps]
+        assert set(unit_ops) <= set(_OPS.values()) and unit_ops.count(np.exp) <= 1
 
 
 def test_star_commutes_with_laplacian():
