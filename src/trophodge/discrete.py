@@ -23,12 +23,14 @@ so the rows have disjoint supports and are independent.  Solving each
 row for its lowest DOF gives the basis in closed form; its entries are
 0 and +-1, which floats hold exactly, and it is the basis reduced
 row-echelon form would give.  One sparse
-eigensolver serves ``kernel`` and ``spectrum``: block inverse iteration
-with the spectral transformation (K + M)^{-1} M and a Rayleigh-Ritz step
-per sweep on a basis orthonormalized through its Gram matrix (SVQB),
-certified by inertia counts.  The kernel dimension is read off a
-spectral gap ratio with an explicit failure mode instead of a silent
-threshold.
+eigensolver serves ``kernel`` and ``spectrum``: subspace iteration
+with the spectral transformation (K + M)^{-1} M, applied twice per
+Rayleigh-Ritz step (Rutishauser 1970), so each step shrinks the
+residuals by the square of the transformed eigenvalue ratio; the Ritz
+step works on a basis orthonormalized through its Gram matrix (SVQB),
+and inertia counts certify the result.  The kernel dimension is read
+off a spectral gap ratio with an explicit failure mode instead of a
+silent threshold.
 
 scipy is imported inside the functions that call it, each submodule by
 name, never at module level: ``import trophodge`` and the commands that
@@ -362,7 +364,7 @@ def _reduced_pencil(system: DiscreteSystem):
 
 
 GAP_RATIO_MIN = 1000.0  # a kernel ends where the spectrum jumps by this factor
-_RATE = 0.25  # a wide enough block shrinks the wanted residuals this much per sweep
+_RATE = 0.25  # a wide enough block shrinks the wanted residuals this much per sweep of two solves
 _STALL = 1e-6  # relative residual above which a stall means too narrow a block
 _CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
 _MAX_SWEEPS = 300
@@ -448,18 +450,23 @@ def _ritz_vectors(S, A, B, rng):
 def _lowest(A, B, k: int, start=None):
     """The k lowest eigenpairs of A x = lambda B x, certified complete.
 
-    Block inverse iteration on (A + B)^{-1} B, the spectral transformation
-    of Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start.
-    Each sweep B-orthonormalizes the block through its Gram matrix into
-    Q, with no QR factorization, and takes the Ritz vectors from the small
-    symmetric matrix Q^T (A Q) (``_ritz_vectors``).  Each Ritz value is
-    then the Rayleigh quotient of its vector x from the sparse products
-    A x and B x: the block also spans eigenvalues up to 1e9 on truncated
-    legs, and A x taken as a combination of the columns of A Q would lose
-    the small ones to cancellation.  A Ritz value theta lies within
-    rho = sqrt((1 + theta) r^T (A + B)^{-1} r), r = A x - theta B x, of
-    an eigenvalue to first order.  The block doubles while the wanted
-    pairs would converge slower than _RATE per sweep, or their largest
+    Subspace iteration on (A + B)^{-1} B, the spectral transformation of
+    Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start,
+    with two solves per Rayleigh-Ritz step (Rutishauser, Numer. Math. 16,
+    1970).  Each sweep B-orthonormalizes the block through its Gram
+    matrix into Q, with no QR factorization, and takes the Ritz vectors
+    from the small symmetric matrix Q^T (A Q) (``_ritz_vectors``).  Each
+    Ritz value is then the Rayleigh quotient of its vector x from the
+    sparse products A x and B x: the block also spans eigenvalues up to
+    1e9 on truncated legs, and A x taken as a combination of the columns
+    of A Q would lose the small ones to cancellation.  A Ritz value theta
+    lies within rho = sqrt((1 + theta) r^T (A + B)^{-1} r),
+    r = A x - theta B x, of an eigenvalue to first order; the sweep's
+    first solve, y = (A + B)^{-1} B x, gives rho and the next block.
+    Once the sweep has decided to stop or to grow, the block takes a
+    second solve, so a sweep shrinks the wanted residuals by
+    ((1 + theta_k) / (1 + theta_top))^2.  The block doubles while that
+    square is above _RATE, or while the wanted pairs' largest
     rho / (1 + theta) stops halving above _STALL; a stall below it ends
     the sweeps.  The inertia just above the wanted Ritz values must then
     count them (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15,
@@ -489,10 +496,11 @@ def _lowest(A, B, k: int, start=None):
         T = S * nu
         np.subtract(X, T, out=T)  # (A + B)^{-1} r = x - nu y
         rho = np.sqrt(nu * np.maximum(np.einsum("ij,ij->j", R, T), 0.0) / norm2)
+        del AX, BX, R, T  # X and the block are all that the rest of the sweep reads
         rho += np.finfo(float).eps * (1.0 + np.abs(theta))  # no Ritz value is known better than rounding
         residual = float(np.max(rho[:k] / nu[:k]))
         stalled, previous = residual >= previous / 2, residual
-        grow = width < n and (nu[k - 1] > _RATE * nu[-1] or stalled and residual > _STALL)
+        grow = width < n and (nu[k - 1] ** 2 > _RATE * nu[-1] ** 2 or stalled and residual > _STALL)
         if stalled and not grow:
             if width == n:  # the block is the whole space
                 k = width
@@ -514,6 +522,8 @@ def _lowest(A, B, k: int, start=None):
                 k, previous, grow = count, math.inf, count + 4 > width
         if grow:
             S, previous = _widen(S, min(n, max(2 * width, k + 4)), rng), math.inf
+        del X  # only the block stays live through the second solve
+        S = lu.solve(B @ S)
     else:
         raise AmbiguousKernelError(f"no convergence in {_MAX_SWEEPS} sweeps")
     X /= np.sqrt(norm2)
@@ -544,6 +554,7 @@ def kernel(system: DiscreteSystem) -> SpectralResult:
         if d + 5 <= lam.size or lam.size == nred:
             break
         k = min(nred, d + 5)
+    del state  # frees the factor at -1 and the block before the gap count factors again
     if d == lam.size:
         if lam.size < nred or np.max(np.abs(lam)) > floor:
             raise AmbiguousKernelError(f"no gap ratio >= {GAP_RATIO_MIN} found (eigenvalues start {lam[:6]})")

@@ -368,9 +368,9 @@ def test_spectrum_solver_giving_up_is_a_typed_error(triangle_file, monkeypatch, 
     from trophodge import discrete
 
     # the triangle at h = 1/8 has 24 degrees of freedom: the first block of
-    # 3 + 4 vectors fits under the cap, the wider block it grows to does not
-    monkeypatch.setattr(discrete, "_MAX_BLOCK_ENTRIES", 24 * 7)
-    assert run(["spectrum", triangle_file, "--h", "0.125", "--k", "3"]) == 2
+    # 7 + 4 vectors fits under the cap, the wider block it grows to does not
+    monkeypatch.setattr(discrete, "_MAX_BLOCK_ENTRIES", 24 * 11)
+    assert run(["spectrum", triangle_file, "--h", "0.125", "--k", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]

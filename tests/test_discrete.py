@@ -501,6 +501,42 @@ def test_kernel_continues_its_first_request(monkeypatch):
     assert shifts.count(-1.0) == 1  # the second request reuses the factor
 
 
+@pytest.mark.parametrize("bidegree", [(0, 0), (1, 0)])
+def test_kernel_takes_two_solves_per_ritz_step(monkeypatch, bidegree):
+    # two solves per Rayleigh-Ritz step square each step's rate of convergence
+    curve = curves.triangle_with_legs()
+    g = KahlerForm.from_spec(curve, None)
+    system = assemble(build_mesh(curve, g, 1 / 64, 1e-4), curve, g, bidegree)
+    calls = []
+    ritz_vectors = discrete._ritz_vectors
+
+    def counting(S, A, B, rng):
+        calls.append(S.shape[1])
+        return ritz_vectors(S, A, B, rng)
+
+    monkeypatch.setattr(discrete, "_ritz_vectors", counting)
+    assert kernel(system).kernel_dimension == 1
+    assert len(calls) <= 10
+
+
+def test_kernel_block_on_a_lattice_stays_narrow(monkeypatch):
+    # genus 49 with Fubini-Study legs: 1 + lambda is near 1 for many
+    # eigenvalues, so the block must hold them until the squared rate is fast
+    curve = _lattice(8, ("v0_0", "v7_7", "v3_4"))
+    g = KahlerForm.from_spec(curve, None)
+    system = assemble(build_mesh(curve, g, 1 / 8, 1e-4), curve, g, (0, 0))
+    widths = []
+    widen = discrete._widen
+
+    def recording_widen(S, width, rng):
+        widths.append(width)
+        return widen(S, width, rng)
+
+    monkeypatch.setattr(discrete, "_widen", recording_widen)
+    assert kernel(system).kernel_dimension == 1
+    assert max(widths) <= 40
+
+
 def _lattice(n, legs=(), toward_smaller=False):
     """The n x n lattice of unit edges, with Fubini-Study legs at the named vertices."""
     vertices = [f"v{i}_{j}" for i in range(n) for j in range(n)]

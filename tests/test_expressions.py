@@ -140,7 +140,7 @@ def test_round_trip_property(source):
 import dataclasses
 import operator
 
-from hypothesis import assume
+from hypothesis import assume, settings
 
 from trophodge.checks import DECAY
 from trophodge.expressions import (MAX_DEPTH, MAX_NODES, Add, Div, Exp, Expression, Mul, Neg, Num, Opaque, Pow, Sub, Var,
@@ -217,6 +217,7 @@ trees = st.recursive(
 )
 
 
+@settings(deadline=None)
 @given(trees)
 def test_tape_equals_reference_bitwise_with_three_derivatives(tree):
     size, depth = _size_and_depth(tree)
