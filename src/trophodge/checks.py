@@ -19,7 +19,7 @@ import numpy as np
 
 from . import theta as theta_module
 from .curve import TropicalCurve, genus
-from .discrete import AmbiguousKernelError, assemble, build_mesh, kernel
+from .discrete import AmbiguousKernelError, BudgetError, assemble, build_mesh, kernel
 from .exact import rank
 from .expressions import Opaque
 from .harmonic import betti, cech_cohomology, harmonic_basis
@@ -48,6 +48,7 @@ _TAIL_WINDOW_BOUND = -8.0 * math.log(2.0)
 TRUNC_EPS = 1e-4
 H_LIST = (1 / 16, 1 / 32)  # mesh steps of the hodge checks' discrete kernels
 FORM_COUNT = 20  # test forms per family in run_verification
+MAX_FORM_COUNT = 2**12  # verify on triangle_with_legs with this many: about 13 s and 200 MiB peak
 DECAY = "exp(2*x)/(1+exp(2*x))"  # decays at -inf like the Fubini-Study weight
 
 
@@ -559,9 +560,15 @@ def check_theta_correspondence() -> CheckReport:
 
 def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=H_LIST,
                      form_count: int = FORM_COUNT) -> CheckReport:
-    """All verification suites on one curve, run in a fixed order; form_count must be at least 1."""
+    """All verification suites on one curve, run in a fixed order.
+
+    form_count must be at least 1 and at most MAX_FORM_COUNT, checked
+    before any form is built.
+    """
     if form_count < 1:
         raise ValueError(f"verification needs at least one test form per family, got {form_count}")
+    if form_count > MAX_FORM_COUNT:
+        raise BudgetError(f"{form_count} test forms per family exceed the budget of {MAX_FORM_COUNT}")
     report = CheckReport(seed=seed)
     forms = regular_test_forms(curve, (1, 0), form_count, seed)
     report.extend(check_stokes(curve, forms, seed))

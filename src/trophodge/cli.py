@@ -90,7 +90,8 @@ def _build_parser():
     p = add("verify", "run every verification suite")
     p.add_argument("--h-list", nargs="+", type=float, default=checks_module.H_LIST)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--forms", type=int, default=checks_module.FORM_COUNT, help="test forms per family")
+    p.add_argument("--forms", type=int, default=checks_module.FORM_COUNT,
+                   help=f"test forms per family, 1 to {checks_module.MAX_FORM_COUNT}")
     p.add_argument("--timings", action="store_true", help="include wall-clock seconds per check")
 
     add("theta", "tropical vs annulus integral comparisons")

@@ -26,9 +26,12 @@ row-echelon form would give.  One sparse
 eigensolver serves ``kernel`` and ``spectrum``: subspace iteration
 with the spectral transformation (K + M)^{-1} M, applied twice per
 Rayleigh-Ritz step (Rutishauser 1970), so each step shrinks the
-residuals by the square of the transformed eigenvalue ratio; the Ritz
-step works on a basis orthonormalized through its Gram matrix (SVQB),
-and inertia counts certify the result.  The kernel dimension is read
+residuals by the square of the transformed eigenvalue ratio, until the
+wanted pairs' relative residual reaches 1e-10 (their eigenvalues are
+then right to rounding, since a Ritz value's error is about the square
+of its residual) or stops halving; the Ritz step works on a basis
+orthonormalized through its Gram matrix (SVQB), and inertia counts
+certify the result.  The kernel dimension is read
 off a spectral gap ratio with an explicit failure mode instead of a
 silent threshold.
 
@@ -78,7 +81,7 @@ class AmbiguousKernelError(RuntimeError):
 
 
 class BudgetError(ValueError):
-    """A mesh would exceed the node budget."""
+    """A mesh or a family of test forms would exceed its size budget."""
 
 
 @dataclass(frozen=True)
@@ -366,6 +369,7 @@ def _reduced_pencil(system: DiscreteSystem):
 GAP_RATIO_MIN = 1000.0  # a kernel ends where the spectrum jumps by this factor
 _RATE = 0.25  # a wide enough block shrinks the wanted residuals this much per sweep of two solves
 _STALL = 1e-6  # relative residual above which a stall means too narrow a block
+_TOL = 1e-10  # relative residual at which the wanted pairs have converged
 _CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
 _MAX_SWEEPS = 300
 _MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
@@ -467,8 +471,15 @@ def _lowest(A, B, k: int, start=None):
     second solve, so a sweep shrinks the wanted residuals by
     ((1 + theta_k) / (1 + theta_top))^2.  The block doubles while that
     square is above _RATE, or while the wanted pairs' largest
-    rho / (1 + theta) stops halving above _STALL; a stall below it ends
-    the sweeps.  The inertia just above the wanted Ritz values must then
+    rho / (1 + theta) stops halving above _STALL.  The sweeps end when
+    that residual is at most _TOL, or stops halving below _STALL.  The
+    target _TOL = 1e-10 suffices: a Ritz value's error is of the order of
+    rho^2 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 11),
+    and a Ritz vector's angle to its eigenspace about rho over the gap,
+    1e-8 for a gap of 0.01.  The halving test ends the sweeps where the
+    rounding floor lies above _TOL, as on the largest meshes (the floor
+    is 7e-12 at n = 38912 and grows with n).  Then the cluster rule
+    applies, and the inertia just above the wanted Ritz values must
     count them (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15,
     1994).  Ritz values bound eigenvalues from above, so a larger count
     means missed eigenvalues, which become wanted.  Returns the certified
@@ -501,7 +512,7 @@ def _lowest(A, B, k: int, start=None):
         residual = float(np.max(rho[:k] / nu[:k]))
         stalled, previous = residual >= previous / 2, residual
         grow = width < n and (nu[k - 1] ** 2 > _RATE * nu[-1] ** 2 or stalled and residual > _STALL)
-        if stalled and not grow:
+        if (stalled or residual <= _TOL) and not grow:
             if width == n:  # the block is the whole space
                 k = width
                 break

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trophodge import curves
+from trophodge import checks, curves
 from trophodge.cli import run
 from trophodge.curve import serialize
 
@@ -148,6 +148,23 @@ def test_verify_needs_at_least_one_test_form(triangle_file, capsys, count):
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["kind"] == "ValueError" and "at least one test form" in error["message"]
+
+
+def test_verify_refuses_forms_over_the_budget(triangle_file, capsys, monkeypatch):
+    # refused before any form is built: each one costs time and memory
+    def never(*args):
+        raise AssertionError("a test form was built")
+
+    monkeypatch.setattr(checks, "regular_test_forms", never)
+    monkeypatch.setattr(checks, "energy_test_pair", never)
+    # the budget itself passes the check and reaches the first form
+    assert run(["verify", triangle_file, "--forms", str(checks.MAX_FORM_COUNT)]) == 3
+    assert "a test form was built" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert run(["verify", triangle_file, "--forms", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "BudgetError" and str(checks.MAX_FORM_COUNT) in error["message"]
 
 
 def test_theta_subcommand(triangle_file, capsys):

@@ -501,9 +501,8 @@ def test_kernel_continues_its_first_request(monkeypatch):
     assert shifts.count(-1.0) == 1  # the second request reuses the factor
 
 
-@pytest.mark.parametrize("bidegree", [(0, 0), (1, 0)])
-def test_kernel_takes_two_solves_per_ritz_step(monkeypatch, bidegree):
-    # two solves per Rayleigh-Ritz step square each step's rate of convergence
+def _kernel_and_ritz_steps(monkeypatch, bidegree):
+    """The kernel dimension of triangle_with_legs at h=1/64 and the Ritz steps it took."""
     curve = curves.triangle_with_legs()
     g = KahlerForm.from_spec(curve, None)
     system = assemble(build_mesh(curve, g, 1 / 64, 1e-4), curve, g, bidegree)
@@ -515,8 +514,27 @@ def test_kernel_takes_two_solves_per_ritz_step(monkeypatch, bidegree):
         return ritz_vectors(S, A, B, rng)
 
     monkeypatch.setattr(discrete, "_ritz_vectors", counting)
-    assert kernel(system).kernel_dimension == 1
-    assert len(calls) <= 10
+    return kernel(system).kernel_dimension, len(calls)
+
+
+@pytest.mark.parametrize("bidegree", [(0, 0), (1, 0)])
+def test_kernel_takes_two_solves_per_ritz_step(monkeypatch, bidegree):
+    # two solves per Rayleigh-Ritz step square each step's rate of convergence,
+    # and the sweeps end once the wanted residuals reach _TOL
+    dimension, steps = _kernel_and_ritz_steps(monkeypatch, bidegree)
+    assert dimension == 1
+    assert steps <= 7
+
+
+@pytest.mark.parametrize("bidegree", [(0, 0), (1, 0)])
+def test_kernel_stall_rule_alone_ends_the_sweeps(monkeypatch, bidegree):
+    # with no residual target the sweeps end only when the residual stops halving
+    # at the rounding floor, which takes more Ritz steps and finds the same kernel
+    steps = _kernel_and_ritz_steps(monkeypatch, bidegree)[1]
+    monkeypatch.setattr(discrete, "_TOL", 0.0)
+    dimension, stall_steps = _kernel_and_ritz_steps(monkeypatch, bidegree)
+    assert dimension == 1
+    assert stall_steps > steps
 
 
 def test_kernel_block_on_a_lattice_stays_narrow(monkeypatch):
