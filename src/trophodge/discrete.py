@@ -22,7 +22,8 @@ sign from the curve's junction table, +1 (head end) or -1 (tail end),
 so the rows have disjoint supports and are independent.  Solving each
 row for its lowest DOF gives the basis in closed form; its entries are
 0 and +-1, which floats hold exactly, and it is the basis reduced
-row-echelon form would give.  One sparse
+row-echelon form would give; a (0,0) system has no rows, so its
+assembled pencil is the reduced one.  One sparse
 eigensolver serves ``kernel`` and ``spectrum``: subspace iteration
 with the spectral transformation (K + M)^{-1} M, applied twice per
 Rayleigh-Ritz step (Rutishauser 1970), so each step shrinks the
@@ -31,7 +32,10 @@ wanted pairs' relative residual reaches 1e-10 (their eigenvalues are
 then right to rounding, since a Ritz value's error is about the square
 of its residual) or stops halving; the Ritz step works on a basis
 orthonormalized through its Gram matrix (SVQB), and inertia counts
-certify the result.  The kernel dimension is read
+certify the result.  A block whose columns would crowd the same L1
+cache sets, as on dyadic meshes, is solved a few columns at a time.  A
+block over the size cap is a ``BudgetError``, refused before it is
+allocated.  The kernel dimension is read
 off a spectral gap ratio with an explicit failure mode instead of a
 silent threshold.
 
@@ -81,7 +85,7 @@ class AmbiguousKernelError(RuntimeError):
 
 
 class BudgetError(ValueError):
-    """A mesh or a family of test forms would exceed its size budget."""
+    """A mesh, an eigensolver block or a family of test forms would exceed its size budget."""
 
 
 @dataclass(frozen=True)
@@ -180,38 +184,39 @@ class DiscreteSystem:
 
 
 def _dof_layout(mesh: Mesh, bidegree: Bidegree) -> DofMap:
-    curve = mesh.curve
+    """Number the DOFs edge by edge in sorted order, nodes ascending.
+
+    (0,0): a vertex is numbered where it is first reached, a finite
+    edge's first node being its tail and every edge's last node its head.
+    (1,0): every node of its own, except -1 at a truncation node.
+    """
     edge_dofs = {}
     vertex_dofs = {}  # leaves of infinite edges never get one: their node is at -inf
     counter = 0
-    if bidegree.as_tuple() == (0, 0):
-        for e in curve.sorted_edges():
-            coords = mesh.nodes[e.id]
-            ids = np.empty(len(coords), dtype=int)
-            for i in range(len(coords)):
-                is_head = i == len(coords) - 1
-                is_tail = i == 0 and not e.infinite and len(coords) > 1
-                if is_head or is_tail:
-                    v = e.head if is_head else e.tail
-                    if v not in vertex_dofs:
-                        vertex_dofs[v] = counter
-                        counter += 1
-                    ids[i] = vertex_dofs[v]
-                else:
-                    ids[i] = counter
-                    counter += 1
-            edge_dofs[e.id] = ids
-    else:
-        for e in curve.sorted_edges():
-            coords = mesh.nodes[e.id]
-            ids = np.empty(len(coords), dtype=int)
-            for i in range(len(coords)):
-                if e.infinite and i == 0:
-                    ids[i] = -1  # essential zero at the truncation node
-                    continue
-                ids[i] = counter
-                counter += 1
-            edge_dofs[e.id] = ids
+
+    def vertex(v):
+        nonlocal counter
+        if v not in vertex_dofs:
+            vertex_dofs[v], counter = counter, counter + 1
+        return vertex_dofs[v]
+
+    for e in mesh.curve.sorted_edges():
+        size = len(mesh.nodes[e.id])
+        if bidegree.as_tuple() == (0, 0):
+            ids = np.empty(size, dtype=int)
+            tail = int(size > 1 and not e.infinite)
+            if tail:
+                ids[0] = vertex(e.tail)
+            interior = size - 1 - tail
+            ids[tail:-1] = np.arange(counter, counter + interior)
+            counter += interior
+            ids[-1] = vertex(e.head)
+        else:
+            pinned = int(e.infinite)  # an essential zero at the truncation node
+            ids = np.arange(counter - pinned, counter + size - pinned)
+            ids[:pinned] = -1
+            counter += size - pinned
+        edge_dofs[e.id] = ids
     return DofMap(counter, edge_dofs, vertex_dofs)
 
 
@@ -359,6 +364,8 @@ class SpectralResult:
 
 def _reduced_pencil(system: DiscreteSystem):
     Z = _constraint_nullspace(system.constraints)
+    if system.constraints.shape[0] == 0:  # Z is the identity and assembly is already symmetric
+        return Z, system.stiffness, system.mass
     A = (Z.T @ (system.stiffness @ Z)).tocsr()
     B = (Z.T @ (system.mass @ Z)).tocsr()
     A = (A + A.T) * 0.5
@@ -374,6 +381,7 @@ _CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
 _MAX_SWEEPS = 300
 _MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
 _MAX_MESH_NODES = _MAX_BLOCK_ENTRIES  # a mesh's node array is no larger than one block; solves hit _widen first
+_L1_WAYS, _L1_PERIOD = 8, 4096  # associativity and set-index period in bytes of a common L1 data cache
 
 
 def _factor(A, B, shift: float):
@@ -415,9 +423,34 @@ def _widen(S, width: int, rng):
     """S with random columns appended up to ``width``, within the size cap."""
     n = S.shape[0]
     if width * n > _MAX_BLOCK_ENTRIES:
-        raise AmbiguousKernelError(f"a block of {width} vectors of length {n} exceeds"
-                                   f" the cap of {_MAX_BLOCK_ENTRIES} entries")
+        raise BudgetError(f"a block of {width} vectors of length {n} exceeds"
+                          f" the cap of {_MAX_BLOCK_ENTRIES} entries")
     return np.hstack([S, rng.standard_normal((n, width - S.shape[1]))])
+
+
+def _solve(lu, X):
+    """lu.solve(X), column-major, with at most _L1_WAYS columns on one L1 cache set at a time.
+
+    SuperLU solves a column-major copy of X, whose columns lie 8 n bytes
+    apart.  Where 8 n shares a large power of two with _L1_PERIOD, as on
+    dyadic meshes (n a multiple of 512), the columns fall on the same
+    cache sets, and more of them than the cache has ways evict each other
+    at every step of the triangular solves: 20 columns at n = 38912 take
+    16.7 ms in one call and 12.2 ms in groups of 8 (medians of 41 on a
+    Xeon core with a 48 KiB L1).  The widest group that keeps each set
+    within its ways follows from n alone.  A block no wider than that is
+    solved in one call, because each call has a fixed cost that small
+    systems would feel: in groups of 8, 20 columns at n = 608 take 99 us
+    against 76 us in one call.
+    """
+    n, width = X.shape
+    group = _L1_WAYS * _L1_PERIOD // math.gcd(8 * n, _L1_PERIOD)
+    if group >= width:
+        return lu.solve(X)
+    out = np.empty(X.shape, order="F")
+    for j in range(0, width, group):
+        out[:, j:j + group] = lu.solve(X[:, j:j + group])
+    return out
 
 
 def _ritz_vectors(S, A, B, rng):
@@ -501,7 +534,7 @@ def _lowest(A, B, k: int, start=None):
         norm2 = np.einsum("ij,ij->j", X, BX)
         theta = np.einsum("ij,ij->j", X, AX) / norm2
         nu = 1.0 + theta
-        S = np.ascontiguousarray(lu.solve(BX))  # row-major like X, so the steps below stream
+        S = np.ascontiguousarray(_solve(lu, BX))  # row-major like X, so the steps below stream
         R = AX  # r = A x - theta B x, in place: n x width arrays dominate the memory
         R -= np.multiply(BX, theta, out=BX)
         T = S * nu
@@ -534,7 +567,7 @@ def _lowest(A, B, k: int, start=None):
         if grow:
             S, previous = _widen(S, min(n, max(2 * width, k + 4)), rng), math.inf
         del X  # only the block stays live through the second solve
-        S = lu.solve(B @ S)
+        S = _solve(lu, B @ S)
     else:
         raise AmbiguousKernelError(f"no convergence in {_MAX_SWEEPS} sweeps")
     X /= np.sqrt(norm2)

@@ -391,7 +391,22 @@ def test_spectrum_solver_giving_up_is_a_typed_error(triangle_file, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
-    assert error["kind"] == "AmbiguousKernelError"
+    assert error["kind"] == "BudgetError"
+    assert "exceeds the cap" in error["message"]
+
+
+def test_verify_refuses_a_block_over_the_cap(triangle_file, monkeypatch, capsys):
+    from trophodge import discrete
+
+    # a size refusal, as in spectrum, not three ambiguous hodge checks and exit 1:
+    # the triangle at h = 1/8 has 24 reduced degrees of freedom in either
+    # bidegree, and kernel's first block holds 6 + 4 vectors
+    monkeypatch.setattr(discrete, "_MAX_BLOCK_ENTRIES", 24 * 10 - 1)
+    assert run(["verify", triangle_file, "--h-list", "0.125", "--forms", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "BudgetError"
     assert "exceeds the cap" in error["message"]
 
 

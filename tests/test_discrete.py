@@ -272,6 +272,60 @@ def test_overlapping_kirchhoff_rows_are_rejected(monkeypatch):
         assemble(mesh, tri, g, (1, 0))
 
 
+def _dof_layout_per_node(mesh, bidegree):
+    """The DOF numbering one node at a time, the reference for _dof_layout."""
+    edge_dofs, vertex_dofs, counter = {}, {}, 0
+    for e in mesh.curve.sorted_edges():
+        coords = mesh.nodes[e.id]
+        ids = np.empty(len(coords), dtype=int)
+        for i in range(len(coords)):
+            if bidegree.as_tuple() == (1, 0):
+                if e.infinite and i == 0:
+                    ids[i] = -1
+                    continue
+                ids[i] = counter
+                counter += 1
+                continue
+            is_head = i == len(coords) - 1
+            is_tail = i == 0 and not e.infinite and len(coords) > 1
+            if is_head or is_tail:
+                v = e.head if is_head else e.tail
+                if v not in vertex_dofs:
+                    vertex_dofs[v] = counter
+                    counter += 1
+                ids[i] = vertex_dofs[v]
+            else:
+                ids[i] = counter
+                counter += 1
+        edge_dofs[e.id] = ids
+    return counter, edge_dofs, vertex_dofs
+
+
+def test_dof_layout_matches_the_per_node_numbering():
+    loop_with_leg = TropicalCurve(("v0", "L"), (Edge("e0", "v0", "v0", 0.5), Edge("leg", "L", "v0", math.inf)))
+    collapsed = 0
+    for curve in [getattr(curves, name)() for name in curves.__all__] + [loop_with_leg]:
+        g = KahlerForm.from_spec(curve, None)
+        for h in (1.0, 1 / 8):
+            for trunc_eps in (1e-4, 0.6):  # 0.6 collapses Fubini-Study legs to their heads
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        mesh = build_mesh(curve, g, h, trunc_eps)
+                except ValueError:  # every edge collapsed
+                    continue
+                collapsed += sum(len(nodes) == 1 for nodes in mesh.nodes.values())
+                for bidegree in (Bidegree(0, 0), Bidegree(1, 0)):
+                    dof_map = discrete._dof_layout(mesh, bidegree)
+                    n_dofs, edge_dofs, vertex_dofs = _dof_layout_per_node(mesh, bidegree)
+                    assert dof_map.n_dofs == n_dofs and dof_map.vertex_dofs == vertex_dofs
+                    assert dof_map.edge_dofs.keys() == edge_dofs.keys()
+                    for eid, ids in edge_dofs.items():
+                        assert dof_map.edge_dofs[eid].dtype == ids.dtype
+                        assert np.array_equal(dof_map.edge_dofs[eid], ids), (eid, bidegree)
+    assert collapsed > 0
+
+
 # -- kernels and spectra ---------------------------------------------------
 
 
@@ -440,8 +494,41 @@ def test_first_block_respects_the_size_cap(monkeypatch):
 
     monkeypatch.setattr(discrete, "_MAX_BLOCK_ENTRIES", n * (3 + 4) - 1)
     monkeypatch.setattr(discrete, "_factor", no_factor)
-    with pytest.raises(AmbiguousKernelError, match="exceeds the cap"):
+    with pytest.raises(BudgetError, match="exceeds the cap"):
         spectrum(system, 3)
+
+
+class _RecordingFactor:
+    def __init__(self, lu):
+        self.lu, self.widths = lu, []
+
+    def solve(self, X):
+        self.widths.append(X.shape[1])
+        return self.lu.solve(X)
+
+
+@pytest.mark.parametrize("n,widths", [(1024, [8, 8, 4]), (1023, [20])])
+def test_block_solve_groups_columns_that_share_cache_sets(n, widths):
+    # at n = 1024 the columns of a block lie 8 KiB apart, on the same sets of a
+    # 4 KiB-periodic cache; at n = 1023 they spread over the sets
+    A = scipy.sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    B = scipy.sparse.identity(n, format="csr")
+    lu = discrete._factor(A, B, -1.0)[0]
+    X = np.random.default_rng(0).standard_normal((n, 20))
+    recording = _RecordingFactor(lu)
+    Y = discrete._solve(recording, X)
+    assert recording.widths == widths
+    assert Y.flags.f_contiguous
+    assert np.array_equal(Y, lu.solve(X))
+
+
+def test_pencil_without_kirchhoff_rows_is_the_assembled_one():
+    legs = curves.triangle_with_legs()
+    g = KahlerForm.from_spec(legs, None)
+    system = assemble(build_mesh(legs, g, 1 / 8, 1e-4), legs, g, (0, 0))
+    Z, A, B = discrete._reduced_pencil(system)
+    assert A is system.stiffness and B is system.mass
+    assert np.array_equal(Z.toarray(), np.eye(system.dof_map.n_dofs))
 
 
 def test_node_budget_admits_meshes_finer_than_any_solve():
