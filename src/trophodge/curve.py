@@ -165,7 +165,10 @@ def _parse_length(raw, edge_id: str) -> float:
         return INF
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise CurveError(f"edge {edge_id!r}: length must be a positive number or \"inf\"")
-    length = float(raw)
+    try:
+        length = float(raw)
+    except OverflowError:
+        raise CurveError(f"edge {edge_id!r}: length is too large for a float") from None
     if not length > 0 or math.isnan(length):
         raise CurveError(f"edge {edge_id!r}: nonpositive length {raw!r}")
     return length

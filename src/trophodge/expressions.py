@@ -13,16 +13,17 @@ The product and quotient helpers cancel g*(f/g) and (f*g)/g to f when
 both g are one node, so the Hodge star applied twice returns its input.
 
 Trees are immutable, so each node caches what is derived from it.
-``node.diff()`` builds the derivative once.  ``parse_expression`` caches
-its trees by source text and marks each as a unit, as is every
-derivative of a unit.  ``node(x)`` (or ``node.eval(x)``) on a unit runs
-its ``Tape``: the tree compiled into straight-line code with one step
-per structurally distinct subtree, so ``exp(2*x)`` repeated across a
-derivative chain is computed once per call.  Any other tree walks on
-its first call, since most are called once, and compiles on its second.
-Both call a unit below the root as one step, through its tape.  A float
-x gives Python-float arithmetic, an array x numpy arithmetic and an
-array of its shape; the walk and the tape give the same bits.
+``node.diff()`` builds the derivative once, and a derivative shares
+subtrees with its tree.  ``parse_expression`` caches its trees by source
+text, and its parser builds one node per distinct subtree, so the two
+``exp(2*x)`` of the Fubini-Study weight are one node.  ``node(x)`` (or
+``node.eval(x)``) walks the tree and computes each distinct node once
+per call, so a subtree shared by identity is computed once.  A float x
+gives Python-float arithmetic.  An array x gives numpy arithmetic and an
+array of its shape, with each float literal a one-element array that
+broadcasts: numpy's scalar ``**`` rounds differently from its array
+loop, and this way a subtree of literals rounds as it would on arrays of
+x's shape.
 """
 
 from __future__ import annotations
@@ -52,29 +53,15 @@ class Expression:
     def _derivative(self) -> "Expression":
         raise NotImplementedError
 
-    # the caches and the unit mark live in the instance dict, which a frozen dataclass leaves writable
+    # the derivative cache lives in the instance dict, which a frozen dataclass leaves writable
     def diff(self) -> "Expression":
-        """The exact derivative, built once per node; a unit's derivative is a unit."""
+        """The exact derivative, built once per node."""
         d = self.__dict__.get("_diff")
         if d is None:
             d = self.__dict__["_diff"] = self._derivative()
-            if "_unit" in self.__dict__:
-                _mark_unit(d)
         return d
 
-    @property
-    def tape(self) -> "Tape":
-        tape = self.__dict__.get("_tape")
-        if tape is None:
-            tape = self.__dict__["_tape"] = Tape(self)
-        return tape
-
     def __call__(self, x):
-        """A unit runs its tape; another tree walks on its first call and compiles on its second."""
-        state = self.__dict__
-        if "_tape" in state or "_unit" in state or "_walked" in state:
-            return self.tape(x)
-        state["_walked"] = True
         return _walk(self, x)
 
     eval = __call__
@@ -186,104 +173,11 @@ def _central_difference(fn: Callable) -> Callable:
 
 _BINARY = {Add, Sub, Mul, Div}
 _OPS = {Neg: operator.neg, Exp: np.exp, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-        Div: operator.truediv, Pow: operator.pow}
-
-
-class Tape:
-    """A tree compiled to straight-line code.
-
-    Slot 0 holds x and the next slots the tree's literals; each step
-    stores ``op(slot a)`` or ``op(slot a, slot b)`` in a slot of its own,
-    op an operator, exp, an opaque node's fn, or the tape of a unit below
-    the root, which reads slot 0.  A step is keyed by its
-    operation and argument values, so equal subtrees share one step.  A
-    step takes over a slot whose value no later step reads, so a call
-    keeps few arrays alive at once, not one per step.  A scalar x runs
-    on Python floats.  An array x runs on numpy, with each float literal
-    a one-element array that broadcasts: numpy's scalar ``**`` rounds
-    differently from its array loop, and this way a subtree of literals
-    rounds as it would on arrays of x's shape.  Exponents stay Python
-    ints.
-    """
-
-    def __init__(self, root: Expression):
-        floats, arrays, code = [None], [None], []  # code: (op, a, b) per step; a value is a slot, or ~j for step j
-        keys, seen, varying, last = {}, {}, {0}, {}  # last: the step that reads a value last
-
-        def literal(value) -> int:
-            key = value.hex() if type(value) is float else value  # hex keeps -0.0 apart
-            index = keys.get(key)
-            if index is None:
-                index = keys[key] = len(floats)
-                floats.append(value)
-                arrays.append(np.array([value]) if type(value) is float else value)
-            return index
-
-        def visit(node: Expression) -> int:
-            value = seen.get(id(node))
-            if value is None:
-                kind = type(node)
-                op = _OPS.get(kind)
-                if node is not root and "_unit" in node.__dict__:
-                    op, a, b = node.tape, 0, None
-                elif kind in _BINARY:
-                    a, b = visit(node.left), visit(node.right)
-                elif kind is Opaque:
-                    op, a, b = node.fn, visit(node.arg), None
-                elif kind is Num:
-                    a = literal(float(node.value))
-                elif kind is Var:
-                    a = 0
-                elif kind is Pow:
-                    a, b = visit(node.base), literal(node.exponent)
-                else:
-                    a, b = visit(node.arg), None
-                if op is None:
-                    value = a
-                else:
-                    key = (id(op), a, b)
-                    value = keys.get(key)
-                    if value is None:
-                        value = keys[key] = ~len(code)
-                        code.append((op, a, b))
-                        last[a] = last[b] = value
-                        if a in varying or b in varying:
-                            varying.add(value)
-                seen[id(node)] = value
-            return value
-
-        result = visit(root)
-        last[result] = None  # the result keeps its slot
-        slot, free, self.steps = {}, [], []  # a step's value keeps its slot until the last step reading it
-        for j, (op, a, b) in enumerate(code):
-            a_slot, b_slot = slot.get(a, a), slot.get(b, b)
-            if a < 0 and last[a] == ~j:
-                free.append(a_slot)
-            if b is not None and b < 0 and b != a and last[b] == ~j:
-                free.append(b_slot)
-            out = slot[~j] = free.pop() if free else len(floats)
-            if out == len(floats):
-                floats.append(None)
-                arrays.append(None)
-            self.steps.append((out, op, a_slot, b_slot))
-        self.root = slot.get(result, result)
-        self.constant = result not in varying
-        self.floats, self.arrays = floats, arrays
-
-    def __call__(self, x):
-        array = bool(np.ndim(x))
-        vals = list(self.arrays if array else self.floats)
-        vals[0] = x = np.asarray(x, dtype=float) if array else float(x)
-        for out, op, a, b in self.steps:
-            vals[out] = op(vals[a]) if b is None else op(vals[a], vals[b])
-        out = vals[self.root]
-        return np.full(x.shape, out[0]) if array and self.constant else out
+        Div: operator.truediv}
 
 
 def _walk(root: Expression, x):
-    """root at x without a tape: each distinct node once, in the tape's order and with its operations.
-
-    A pre-pass counts readers, and a value is dropped after its last read, as the tape reuses slots."""
+    """root at x, each distinct node once; a pre-pass counts readers, and a value is dropped after its last read."""
     array = bool(np.ndim(x))
     x = np.asarray(x, dtype=float) if array else float(x)
     readers, values, varying = {}, {}, []
@@ -295,7 +189,7 @@ def _walk(root: Expression, x):
             return
         readers[key] = 1
         kind = type(node)
-        if kind is Var or (node is not root and "_unit" in node.__dict__):
+        if kind is Var:
             varying.append(node)
         elif kind in _BINARY:
             count(node.left)
@@ -312,8 +206,6 @@ def _walk(root: Expression, x):
                 v = np.array([float(node.value)]) if array else float(node.value)
             elif kind is Var:
                 v = x
-            elif node is not root and "_unit" in node.__dict__:
-                v = node.tape(x)
             elif kind in _BINARY:
                 v = _OPS[kind](value(node.left), value(node.right))
             elif kind is Opaque:
@@ -332,11 +224,6 @@ def _walk(root: Expression, x):
     count(root)
     out = value(root)
     return np.full(x.shape, out[0]) if array and not varying else out
-
-
-def _mark_unit(node: Expression) -> None:
-    if type(node) not in (Num, Var):
-        node.__dict__["_unit"] = True
 
 
 def _fields(node: Expression) -> list:
@@ -451,12 +338,12 @@ def _tokenize(text: str):
 
 
 MAX_EXPONENT = 1024
-# diff, Tape and to_source recurse per tree level, the parser per nesting
-# level; both stay far below the recursion limit.  A derivative shares
-# subtrees with its tree, and diff and Tape take each shared node once, so
-# the tape of a k-th derivative stays small (587 steps for the third of a
-# quotient chain 15 deep); to_source still visits about depth^(k+1) nodes.
-# MAX_NODES bounds wide trees.
+# diff, the walk and to_source recurse per tree level, the parser per
+# nesting level; both stay far below the recursion limit.  A derivative
+# shares subtrees with its tree, and diff and the walk take each shared
+# node once, so a k-th derivative stays small (819 distinct nodes for the
+# third of the quotient chain exp(x)/(1+...) 15 deep); to_source still
+# visits about depth^(k+1) nodes.  MAX_NODES bounds wide trees.
 MAX_DEPTH = 32
 MAX_NODES = 256
 
@@ -467,6 +354,16 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.nodes = {}
+
+    def intern(self, node: Expression) -> Expression:
+        """The first node built with node's type, children and value, so a repeated subtree is one object.
+
+        Keyed on the children's ids, as a dataclass hash would recurse the
+        whole tree; ``hex`` keeps -0.0 apart from 0.0."""
+        key = (type(node), *(id(f) if isinstance(f, Expression) else f.hex() if type(f) is float else f
+                             for f in _fields(node)))
+        return self.nodes.setdefault(key, node)
 
     def nested(self, parse, pos):
         if self.depth == MAX_DEPTH:
@@ -504,7 +401,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+                node = self.intern(Add(node, rhs) if value == "+" else Sub(node, rhs))
             else:
                 return node
 
@@ -515,7 +412,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
+                node = self.intern(Mul(node, rhs) if value == "*" else Div(node, rhs))
             else:
                 return node
 
@@ -523,7 +420,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.nested(self.unary, pos))
+            return self.intern(Neg(self.nested(self.unary, pos)))
         return self.power()
 
     def power(self) -> Expression:
@@ -531,7 +428,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return _pow(base, self.exponent())
+            return self.intern(_pow(base, self.exponent()))
         return base
 
     def exponent(self) -> int:
@@ -567,16 +464,16 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(value))
+            return self.intern(Num(float(value)))
         if kind == "name":
             self.advance()
             if value == "x":
-                return Var()
+                return self.intern(Var())
             if value == "exp":
                 self.expect_op("(")
                 arg = self.nested(self.expr, pos)
                 self.expect_op(")")
-                return Exp(arg)
+                return self.intern(Exp(arg))
             raise ExpressionError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             self.advance()
@@ -591,7 +488,7 @@ def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an expression tree.
 
     The tree is cached by source text and shared between callers, with
-    its derivatives and tapes.  Raises ExpressionError with the byte
+    its derivatives.  Raises ExpressionError with the byte
     offset of the first problem, or offset 0 for a tree deeper than
     MAX_DEPTH or larger than MAX_NODES.
     """
@@ -605,7 +502,6 @@ def parse_expression(text: str) -> Expression:
         if level > MAX_DEPTH:
             raise ExpressionError(f"expression tree is deeper than {MAX_DEPTH} levels", 0)
         stack.extend((c, level + 1) for c in _fields(node) if isinstance(c, Expression))
-    _mark_unit(tree)
     return tree
 
 

@@ -107,7 +107,7 @@ class KahlerForm:
             if kind == "constant":
                 try:
                     value = float(entry["value"])
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, OverflowError):
                     raise KahlerError(f"constant weight on edge {e.id!r} needs a numeric \"value\"") from None
                 weights[e.id] = EdgeFunction.constant(value, e.chart)
             elif kind == "fubini-study":

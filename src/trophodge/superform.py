@@ -78,7 +78,7 @@ class EdgeFunction:
     """One smooth coefficient on an edge chart: an expression tree plus its chart and tail bound.
 
     Arithmetic and derivative() build trees with the helpers of
-    ``expressions``; a call runs the tree's one tape, so in -(f/g)'' f, g
+    ``expressions``; a call walks the whole tree once, so in -(f/g)'' f, g
     and their derivatives are each computed once.  A bare callable is an
     opaque node, differentiated by derivative_factory (which returns an
     EdgeFunction) or else by central differences, step max(1e-6, 1e-8*|x|).

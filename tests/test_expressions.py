@@ -133,9 +133,11 @@ def test_round_trip_property(source):
     va, vb = np.asarray(tree.eval(xs)), np.asarray(again.eval(xs))
     mask = np.isfinite(va)
     assert np.all(np.abs(va[mask] - vb[mask]) <= 1e-14 * np.maximum(1.0, np.abs(va[mask])))
+    # the parser shares repeated subtrees; the walk of the shared tree keeps the reference's bits
+    assert_walk_matches_reference(tree)
 
 
-# -- the tape against a recursive reference ---------------------------------
+# -- the walk against a recursive reference ---------------------------------
 
 import dataclasses
 import operator
@@ -190,12 +192,12 @@ POINTS = [0.0, -1.25, 0.7, 3, np.float64(-0.3), np.linspace(-2.0, 2.0, 9), np.ar
           np.array([0.0])]
 
 
-def assert_tape_matches_reference(tree):
-    """The first-call walk and the compiled tape each match the reference at every point."""
+def assert_walk_matches_reference(tree):
+    """The walk and a call of the tree each match the reference at every point."""
     for x in POINTS:
         expected = outcome(reference, tree, x)
         assert outcome(_walk, tree, x) == expected, ("walk", tree, x)
-        assert outcome(lambda node, x: node.tape(x), tree, x) == expected, ("tape", tree, x)
+        assert outcome(lambda node, x: node(x), tree, x) == expected, ("call", tree, x)
 
 
 def _size_and_depth(node):
@@ -206,9 +208,9 @@ def _size_and_depth(node):
 
 
 LITERALS = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.25, -1.5, 1e200]).map(Num)
-UNITS = st.sampled_from([parse_expression(DECAY), parse_expression(DECAY).diff()])  # called through their tapes
+PARSED = st.sampled_from([parse_expression(DECAY), parse_expression(DECAY).diff()])  # with shared subtrees
 trees = st.recursive(
-    st.just(Var()) | LITERALS | st.just(SIN) | UNITS,
+    st.just(Var()) | LITERALS | st.just(SIN) | PARSED,
     lambda sub: st.one_of(
         st.builds(Neg, sub), st.builds(Exp, sub), st.builds(Pow, sub, st.integers(-3, 3)),
         *(st.builds(cls, sub, sub) for cls in (Add, Sub, Mul, Div)),
@@ -219,40 +221,45 @@ trees = st.recursive(
 
 @settings(deadline=None)
 @given(trees)
-def test_tape_equals_reference_bitwise_with_three_derivatives(tree):
+def test_walk_equals_reference_bitwise_with_three_derivatives(tree):
     size, depth = _size_and_depth(tree)
     assume(size <= MAX_NODES and depth <= MAX_DEPTH)
     for _ in range(4):
-        assert_tape_matches_reference(tree)
+        assert_walk_matches_reference(tree)
         tree = tree.diff()
 
 
 def test_neg_and_sub_get_their_own_steps():
     x = Var()
-    # 1/(-x) and 1/(0-x) differ only in the sign of zero; a tape that
+    # 1/(-x) and 1/(0-x) differ only in the sign of zero; an evaluator that
     # merged Neg with Sub, or 0.0 with -0.0, would read inf - inf at x = 0
     tree = Sub(Div(Num(1.0), Neg(x)), Div(Num(1.0), Sub(Num(0.0), x)))
-    assert_tape_matches_reference(tree)
+    assert_walk_matches_reference(tree)
     signed_zero = Add(Div(Num(1.0), Num(-0.0)), Div(Num(1.0), Num(0.0)))
-    assert_tape_matches_reference(signed_zero)
+    assert_walk_matches_reference(signed_zero)
     with np.errstate(all="ignore"):
         assert np.isneginf(tree(np.array([0.0]))[0])
         assert np.isnan(signed_zero(np.zeros(2))).all()
     ops = Add(Add(Exp(x), Neg(x)), Add(Mul(x, Num(2.0)), Div(x, Num(2.0))))
-    assert_tape_matches_reference(ops)
-    assert len(ops.tape.steps) == 7
+    assert_walk_matches_reference(ops)
+    parsed = parse_expression("1/(-x)-1/(0-x)")  # the parser's sharing keeps them apart too
+    with np.errstate(all="ignore"):
+        assert np.isneginf(parsed(np.array([0.0]))[0])
 
 
 def test_repeated_subtree_is_one_step():
     tree = parse_expression("exp(2*x)/(1+exp(2*x))")
-    assert_tape_matches_reference(tree)
-    assert len(tree.tape.steps) == 4  # 2*x, exp, 1+, /
+    assert_walk_matches_reference(tree)
+    assert type(tree.left) is Exp and tree.left is tree.right.right
+    # equal children under different operations stay different nodes
+    x = 0.75
+    assert parse_expression("(x+2)-(x*2)+(x/2)-exp(x)*-x")(x) == (x + 2) - (x * 2) + (x / 2) - np.exp(x) * -x
 
 
 def test_constant_root_returns_a_fresh_array_of_the_input_shape():
     for source in ["1/0", "3", "(2.5)^3*exp(0.25)"]:
         tree = parse_expression(source)
-        assert_tape_matches_reference(tree)
+        assert_walk_matches_reference(tree)
         grid = np.zeros((2, 3))
         with np.errstate(divide="ignore"):
             value = tree(grid)
@@ -260,26 +267,6 @@ def test_constant_root_returns_a_fresh_array_of_the_input_shape():
     one = parse_expression("3")(np.zeros(1))
     one[0] = 7.0
     assert parse_expression("3")(np.zeros(1))[0] == 3.0
-
-
-def test_a_tree_walks_on_its_first_call_and_compiles_on_its_second():
-    x = Var()
-    tree = Add(Exp(Mul(Num(2.0), x)), Neg(x))
-    assert tree(0.5) == np.exp(1.0) - 0.5
-    assert "_tape" not in tree.__dict__
-    tree(np.zeros(3))
-    assert "_tape" in tree.__dict__
-    unit = parse_expression("exp(3*x)-x/7")  # a unit compiles on its first call
-    unit(0.5)
-    assert "_tape" in unit.__dict__
-    assert "_unit" not in parse_expression("x").__dict__ and "_unit" not in parse_expression("2").__dict__
-
-
-def test_a_unit_below_the_root_is_one_step():
-    unit = parse_expression(DECAY).diff()
-    steps = Mul(Num(2.0), unit).tape.steps
-    assert len(steps) == 2
-    assert steps[0][1] is unit.tape
 
 
 def test_first_call_keeps_few_arrays_alive():
@@ -297,11 +284,10 @@ def test_first_call_keeps_few_arrays_alive():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "_tape" not in tree.__dict__
     assert peak < 4 * grid.nbytes
 
 
-def test_parse_diff_and_tape_are_built_once():
+def test_parse_and_diff_are_built_once():
     from trophodge.superform import EdgeFunction
 
     tree = parse_expression("2*exp(2*x)/(1+exp(2*x))^2")
@@ -310,4 +296,3 @@ def test_parse_diff_and_tape_are_built_once():
     fn = EdgeFunction.from_expression("2*exp(2*x)/(1+exp(2*x))^2")
     assert fn.node is tree
     assert fn.derivative().node is fn.derivative().node is tree.diff()
-    assert fn.derivative().node.tape is tree.diff().tape

@@ -223,19 +223,19 @@ def test_laplacian_top_degree_matches_composition_oracle():
 
 
 def test_laplacian_top_degree_shares_the_weight_and_its_derivatives():
-    # -(f/g)'' reads f, f', f'', g, g' and g'': parse-cached units, each compiled once with
-    # one exp(2*x), and called by the Laplacian's tape as one step each
+    # -(f/g)'' reads f, f', f'', g, g' and g'', built from parse-cached trees in which the
+    # repeated exp(2*x) is one node, so the whole Laplacian holds one exp node per source
     from trophodge.checks import DECAY
-    from trophodge.expressions import _OPS, Tape
+    from trophodge.expressions import Exp, Expression, _fields
 
     form = Superform.on_curve(TP1, (1, 1), {"left": DECAY, "right": DECAY})
-    ops = [op for _, op, _, _ in laplacian(form, GFS).coefficients["left"].node.tape.steps]
-    units = {op for op in ops if isinstance(op, Tape)}
-    assert len(units) == 6
-    assert set(ops) - units <= set(_OPS.values()) and np.exp not in ops
-    for unit in units:
-        unit_ops = [op for _, op, _, _ in unit.steps]
-        assert set(unit_ops) <= set(_OPS.values()) and unit_ops.count(np.exp) <= 1
+    seen, stack = {}, [laplacian(form, GFS).coefficients["left"].node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(c for c in _fields(node) if isinstance(c, Expression))
+    assert sum(type(node) is Exp for node in seen.values()) == 2
 
 
 def test_star_commutes_with_laplacian():
