@@ -18,7 +18,10 @@ subtrees with its tree.  ``parse_expression`` caches its trees by source
 text, and its parser builds one node per distinct subtree, so the two
 ``exp(2*x)`` of the Fubini-Study weight are one node.  ``node(x)`` (or
 ``node.eval(x)``) walks the tree and computes each distinct node once
-per call, so a subtree shared by identity is computed once.  A float x
+per call, so a subtree shared by identity is computed once.  One walk
+can also read several roots at x, as quadrature does with all the
+integrands of a chart: the roots' values come out in order, and a node
+they share is computed once for all of them.  A float x
 gives Python-float arithmetic.  An array x gives numpy arithmetic and an
 array of its shape, with each float literal a one-element array that
 broadcasts: numpy's scalar ``**`` rounds differently from its array
@@ -176,11 +179,21 @@ _OPS = {Neg: operator.neg, Exp: np.exp, Add: operator.add, Sub: operator.sub, Mu
         Div: operator.truediv}
 
 
-def _walk(root: Expression, x):
-    """root at x, each distinct node once; a pre-pass counts readers, and a value is dropped after its last read."""
+def _walk(roots, x):
+    """Each root at x, computing each distinct node of all roots once.
+
+    ``roots`` is one tree, whose value is returned, or a sequence of
+    trees, whose values are yielded in order.  A pre-pass counts the
+    readers over all roots, and a value is dropped after its last read,
+    so a node shared by several roots is kept only until the last of
+    them, and a caller that reduces each yielded value holds one root's
+    value at a time.
+    """
+    one = isinstance(roots, Expression)
+    roots = (roots,) if one else tuple(roots)
     array = bool(np.ndim(x))
     x = np.asarray(x, dtype=float) if array else float(x)
-    readers, values, varying = {}, {}, []
+    readers, values = {}, {}
 
     def count(node: Expression):
         key = id(node)
@@ -189,12 +202,10 @@ def _walk(root: Expression, x):
             return
         readers[key] = 1
         kind = type(node)
-        if kind is Var:
-            varying.append(node)
-        elif kind in _BINARY:
+        if kind in _BINARY:
             count(node.left)
             count(node.right)
-        elif kind is not Num:
+        elif kind is not Num and kind is not Var:
             count(node.base if kind is Pow else node.arg)
 
     def value(node: Expression):
@@ -221,9 +232,15 @@ def _walk(root: Expression, x):
             values.pop(key, None)
         return v
 
-    count(root)
-    out = value(root)
-    return np.full(x.shape, out[0]) if array and not varying else out
+    def result(root: Expression):
+        # a root without the variable is a one-element array, filled to x's shape;
+        # a root with it has x's shape already
+        v = value(root)
+        return np.full(x.shape, v[0]) if array and np.shape(v) == (1,) != x.shape else v
+
+    for root in roots:
+        count(root)
+    return result(roots[0]) if one else map(result, roots)
 
 
 def _fields(node: Expression) -> list:

@@ -18,11 +18,12 @@ formulas serve as independent oracles in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .curve import TropicalCurve
-from .quadrature import DivergenceError, integrate_finite, integrate_lower_tail
+from .quadrature import DivergenceError, _unwrap, integrate_finite, integrate_lower_tail
 from .superform import Bidegree, EdgeFunction, Superform, d_second, wedge
 
 __all__ = [
@@ -41,6 +42,9 @@ __all__ = [
 
 # weight of the Fubini-Study form in the canonical chart of one edge
 FUBINI_STUDY_SOURCE = "2*exp(2*x)/(1+exp(2*x))^2"
+# forms that integrate reads and integrates together: the trees a batch holds
+# bound its memory when a check integrates thousands of forms (verify --forms)
+BATCH_FORMS = 512
 
 
 class KahlerError(ValueError):
@@ -176,7 +180,7 @@ def validate_kahler(curve: TropicalCurve, g: KahlerForm) -> KahlerValidationRepo
              "positive on doubling sample grid" if positive else f"min sample {values.min():.3e}")
         )
         try:
-            mass = edge_integral(curve, fn, e.id)
+            mass = edge_integral(curve, fn.node, e.id)
         except DivergenceError as exc:
             entries.append((e.id, "mass", False, f"divergent: {exc}"))
         else:
@@ -193,22 +197,40 @@ def validate_kahler(curve: TropicalCurve, g: KahlerForm) -> KahlerValidationRepo
     return KahlerValidationReport(tuple(entries), edge_mass, second_moments)
 
 
-def edge_integral(curve: TropicalCurve, fn, edge_id: str) -> float:
-    """Chart integral of a scalar coefficient over one edge."""
+def edge_integral(curve: TropicalCurve, fn, edge_id: str):
+    """Chart integral over one edge of a scalar coefficient, or of each of a sequence of them in one walk per level
+    (see ``quadrature._integrate``)."""
     e = curve.edge(edge_id)
     if e.infinite:
         return integrate_lower_tail(fn, 0.0)
     return integrate_finite(fn, -e.length, 0.0)
 
 
-def integrate(curve: TropicalCurve, form: Superform) -> float:
-    """Tropical integral of a (1,1) form: the sum of chart integrals."""
-    if form.bidegree.as_tuple() != (1, 1):
-        raise ValueError(f"tropical integration needs bidegree (1,1), got {form.bidegree.as_tuple()}")
-    total = 0.0
-    for e in curve.sorted_edges():
-        total += edge_integral(curve, form.coefficients[e.id], e.id)
-    return total
+def integrate(curve: TropicalCurve, forms):
+    """Tropical integral of a (1,1) form: the sum of its chart integrals, edge by edge.
+
+    Given a sequence or iterable of forms, returns their integrals in
+    order.  Each edge integrates the coefficients of up to BATCH_FORMS
+    forms together, so they share the walks over its quadrature grid; an
+    iterable is read one batch at a time.  A form whose integral diverges
+    on some edge gets the DivergenceError of its first such edge in place
+    of a value; a single form raises it.
+    """
+    single = isinstance(forms, Superform)
+    forms = iter([forms] if single else forms)
+    totals = []
+    while batch := list(islice(forms, BATCH_FORMS)):
+        for form in batch:
+            if form.bidegree.as_tuple() != (1, 1):
+                raise ValueError(f"tropical integration needs bidegree (1,1), got {form.bidegree.as_tuple()}")
+        sums = [0.0] * len(batch)
+        for e in curve.sorted_edges():
+            values = edge_integral(curve, [form.coefficients[e.id].node for form in batch], e.id)
+            for i, value in enumerate(values):
+                if not isinstance(sums[i], DivergenceError):
+                    sums[i] = value if isinstance(value, DivergenceError) else sums[i] + value
+        totals += sums
+    return _unwrap(totals[0]) if single else totals
 
 
 def hodge_star(form: Superform, g: KahlerForm) -> Superform:

@@ -7,15 +7,24 @@ onto (0, 1] and integrated on a geometrically graded panel mesh toward
 u = 0; the grading absorbs the logarithmic factors that second moments
 introduce, and deepening the grading is the refinement step.
 
-Levels 0 and 1 share one call of the integrand and each deeper level
-is one more; every level is summed over its own panels, so values
-equal level-by-level ones.  Panel meshes are cached read-only.
+An integrand is an expression tree or a plain callable of an array, and
+the integrals take one integrand or a sequence of them on one chart.
+Levels 0 and 1 are read in one walk of all the integrands over both
+levels' nodes (``expressions._walk``), and each deeper level in one more
+walk, of the integrands still refining.  So a node that several trees
+share, such as a test form's window on a leg, is computed once per walk
+for all of them.  Each integrand keeps its own sums and its own
+refinement: every level is summed over its own panels, so its value has
+the bits of a level-by-level integral of it alone.  Panel meshes are
+cached read-only.
 
 Divergence is declared when four successive refinements fail to
 contract by a factor of two; integrands like a constant weight on an
 infinite edge then fail deterministically instead of stabilizing.  A
 finite-interval level of more than MAX_LEVEL_NODES nodes is declared
-divergent before it is allocated.
+divergent before it is allocated.  Among several integrands a divergent
+one gets its DivergenceError in place of its value, and the others are
+unaffected.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .expressions import Expression, Opaque, _walk
 
 __all__ = [
     "DivergenceError",
@@ -88,48 +99,99 @@ def _panel_grid(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, half
 
 
-def _levels_values(f, grids) -> list[float]:
-    """Composite GL on each (nodes, half) grid from one call of f on all their nodes."""
-    values = np.asarray(f(np.concatenate([nodes for nodes, _ in grids])), dtype=float)
-    if not np.all(np.isfinite(values)):
+def _levels_values(values: np.ndarray, grids) -> list[float]:
+    """Composite GL on each (nodes, half) grid of values sampled on all their nodes, concatenated."""
+    if not np.isfinite(values).all():
         raise DivergenceError("integrand is not finite on the quadrature grid")
     _, wi = gauss_legendre(NODES_PER_PANEL)
     sums, start = [], 0
     for nodes, half in grids:
         rows = values[start:start + nodes.size].reshape(half.size, NODES_PER_PANEL)
-        sums.append(float(np.sum((rows @ wi) * half)))
+        sums.append(float(((rows @ wi) * half).sum()))
         start += nodes.size
     return sums
 
 
-def _refine(values, tol: float) -> float:
-    """The first level that agrees with its predecessor within tol.
+def _refine(values, count: int, tol: float) -> list:
+    """For each of count integrands, the first level that agrees with its predecessor within tol.
 
-    values(levels) returns the integral at each level of the tuple from
-    one call of the integrand; levels 0 and 1 are asked for together.
+    values(levels, live) gives, for each integrand index in live, its
+    integral at each level of the tuple, or the DivergenceError of its
+    samples.  Levels 0 and 1 are asked for together, for all integrands;
+    each deeper level only for those still refining.  An integrand that
+    fails to stabilize gets its DivergenceError in place of a value.
     """
-    previous, current = values((0, 1))
-    stall = 0
-    last_diff = None
+    results = [None] * count
+    state = {}  # integrand -> (its value at the last level, the last change, the stalls in a row)
+    live = range(count)
     for k in range(1, MAX_REFINEMENTS + 1):
-        if k > 1:
-            previous, (current,) = current, values((k,))
-        diff = abs(current - previous)
-        if diff <= tol:
-            return current
-        if last_diff is not None:
-            if diff > 0.5 * last_diff:
-                stall += 1
-                if stall >= 4:
-                    raise DivergenceError(
-                        f"4 successive refinements failed to contract (last change {diff:.3e})"
-                    )
+        for i, sums in zip(live, values((0, 1) if k == 1 else (k,), live)):
+            if isinstance(sums, DivergenceError):
+                results[i] = sums
+                continue
+            if k == 1:
+                (previous, current), last_diff, stall = sums, None, 0
             else:
-                stall = 0
-        last_diff = diff
-    raise DivergenceError(
-        f"no stabilization within {MAX_REFINEMENTS} refinements (last change {last_diff!r})"
-    )
+                (previous, last_diff, stall), (current,) = state[i], sums
+            diff = abs(current - previous)
+            if diff <= tol:
+                results[i] = current
+                continue
+            if last_diff is not None:
+                stall = stall + 1 if diff > 0.5 * last_diff else 0
+                if stall >= 4:
+                    results[i] = DivergenceError(
+                        f"4 successive refinements failed to contract (last change {diff:.3e})")
+                    continue
+            state[i] = current, diff, stall
+        live = [i for i in live if results[i] is None]
+        if not live:
+            return results
+    for i in live:
+        results[i] = DivergenceError(
+            f"no stabilization within {MAX_REFINEMENTS} refinements (last change {state[i][1]!r})")
+    return results
+
+
+def _integrate(f, grid, tol: float, tail: float | None = None):
+    """The refined integral of f over the panels grid(k) of each level k.
+
+    f is one integrand, whose value is returned and whose DivergenceError
+    is raised, or a sequence of them, whose values come back as a list in
+    order, with a DivergenceError in place of each divergent one.  An
+    integrand is an expression tree or a plain callable of an array.  All
+    integrands of a level are read in one walk over its nodes, sharing
+    the nodes that their trees share.  With ``tail`` the grid's nodes are
+    u in (0, 1] and each integrand is read at tail + log u and divided by u.
+    """
+    single = callable(f)
+    roots = [g if isinstance(g, Expression) else Opaque(g) for g in ([f] if single else f)]
+
+    def values(levels, live):
+        try:
+            grids = [grid(k) for k in levels]
+        except DivergenceError as exc:
+            return [exc] * len(live)
+        nodes = np.concatenate([nodes for nodes, _ in grids])
+        x = nodes if tail is None else tail + np.log(nodes)
+        out = []
+        for v in _walk([roots[i] for i in live], x):
+            v = np.asarray(v, dtype=float)
+            try:
+                out.append(_levels_values(v if tail is None else v / nodes, grids))
+            except DivergenceError as exc:
+                out.append(exc)
+        return out
+
+    results = _refine(values, len(roots), tol)
+    return _unwrap(results[0]) if single else results
+
+
+def _unwrap(result):
+    """An integral from a list of them: its value, or its DivergenceError raised."""
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 @lru_cache(maxsize=64)
@@ -140,18 +202,14 @@ def _finite_grid(a: float, b: float, n: int):
     return _panel_grid(np.linspace(a, b, n + 1))
 
 
-def integrate_finite(f, a: float, b: float) -> float:
-    """Integral of f over the finite interval [a, b]."""
+def integrate_finite(f, a: float, b: float):
+    """Integral of f, one integrand or a sequence of them (see ``_integrate``), over the finite interval [a, b]."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_finite needs finite endpoints")
     if a == b:
-        return 0.0
+        return 0.0 if callable(f) else [0.0] * len(f)
     base = max(MIN_PANELS, int(math.ceil(abs(b - a) * PANELS_PER_UNIT)))
-
-    def values(levels):
-        return _levels_values(f, [_finite_grid(a, b, base * 2**k) for k in levels])
-
-    return _refine(values, TOL_FINITE)
+    return _integrate(f, lambda k: _finite_grid(a, b, base * 2**k), TOL_FINITE)
 
 
 @lru_cache(maxsize=32)
@@ -167,21 +225,10 @@ def _tail_grid(depth: int, splits: int):
     return _panel_grid(np.asarray(bounds))
 
 
-def _integrate_unit_graded(h) -> float:
-    def values(levels):
-        return _levels_values(h, [_tail_grid(TAIL_LEVELS + 2 * k, 1 + k // 2) for k in levels])
-
-    return _refine(values, TOL_INFINITE)
-
-
-def integrate_lower_tail(f, c: float) -> float:
-    """Integral of f over (-inf, c] via the substitution u = exp(x - c)."""
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(f(c + np.log(u)), dtype=float) / u
-
-    return _integrate_unit_graded(h)
+def integrate_lower_tail(f, c: float):
+    """Integral of f, one integrand or a sequence of them (see ``_integrate``), over (-inf, c],
+    via the substitution u = exp(x - c)."""
+    return _integrate(f, lambda k: _tail_grid(TAIL_LEVELS + 2 * k, 1 + k // 2), TOL_INFINITE, tail=c)
 
 
 def integrate_upper_tail(f, c: float) -> float:

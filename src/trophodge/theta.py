@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import TropicalCurve
 from .metric import KahlerForm
-from .quadrature import TAIL_LEVELS, TOL_INFINITE, _levels_values, _panel_grid, _refine, integrate_interval
+from .quadrature import TAIL_LEVELS, TOL_INFINITE, _integrate, _panel_grid, integrate_interval
 from .superform import Superform
 
 __all__ = [
@@ -86,11 +86,8 @@ def annulus_integral(form, domain: AnnulusDomain) -> float:
         values = np.asarray(form(np.log(magnitudes.ravel())), dtype=float).reshape(magnitudes.shape)
         return (values / (2.0 * math.pi * magnitudes)).sum(axis=1) * angular_weight
 
-    def values(levels):
-        grids = [_panel_grid(_radial_bounds(domain, TAIL_LEVELS + 2 * k, 2 + k)) for k in levels]
-        return _levels_values(radial_profile, grids)
-
-    return _refine(values, TOL_INFINITE)
+    return _integrate(radial_profile, lambda k: _panel_grid(_radial_bounds(domain, TAIL_LEVELS + 2 * k, 2 + k)),
+                      TOL_INFINITE)
 
 
 def tropical_interval_integral(form, a: float, b: float) -> float:

@@ -162,6 +162,17 @@ def test_energy_pairs_satisfy_integration_by_parts():
         assert worst <= 1e-7
 
 
+@pytest.mark.parametrize("curve", [curves.triangle_with_legs(16.0), curves.triangle_with_legs(30.0),
+                                   curves.triangle(32.0), curves.triangle(64.0)], ids=["legs16", "legs30", "tri32", "tri64"])
+def test_long_finite_edges_keep_stokes_and_parts_convergent(curve):
+    # a bubble x (x + l)(r0 + r1 x) grows as l^3, and its integrals never settled to the
+    # absolute tolerance: every seed here raised DivergenceError before the bubble was scaled to the edge
+    for seed in range(3):
+        report = check_stokes(curve, regular_test_forms(curve, (1, 0), 20, seed), seed)
+        report.extend(check_integration_by_parts(curve, [energy_test_pair(curve, seed + 1000 + k) for k in range(20)]))
+        assert report.passed, (seed, [c.as_dict() for c in report.checks])
+
+
 def test_jumping_psi_turns_integration_by_parts_red():
     # psi gains c (1 + x/l) on one edge: c at its head, 0 at its tail, so psi
     # jumps at one vertex and the pairing picks up the boundary term c phi(0)

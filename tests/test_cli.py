@@ -334,24 +334,34 @@ def test_laplacian_formula_note_is_finite_on_a_narrow_leg(tmp_path, capsys):
 
 def test_divergent_star_isometry_is_a_failed_check(tmp_path, capsys, monkeypatch):
     from trophodge import checks
-    from trophodge.quadrature import DivergenceError
+    from trophodge.superform import EdgeFunction, Superform
 
-    inner_product = checks.inner_product
+    wedge, star_identities = checks.wedge, checks.check_star_identities
     diverged = []
 
-    def diverging_once(a, b, g):
+    def diverging_once(a, b):
+        # the suite's first integrand that wedges a (1,1) form, the stars' side of the (0,0) pair 0-0,
+        # gets the constant 1 on a leg, whose tail integral diverges; it is integrated with the others
+        form = wedge(a, b)
         if a.bidegree.as_tuple() == (1, 1) and not diverged:
             diverged.append((a, b))
-            raise DivergenceError("refinements failed to stabilize")
-        return inner_product(a, b, g)
+            coeffs = dict(form.coefficients)
+            coeffs["leg1"] = EdgeFunction.constant(1.0, coeffs["leg1"].domain)
+            return Superform(form.bidegree, coeffs)
+        return form
 
-    monkeypatch.setattr(checks, "inner_product", diverging_once)
+    def with_one_divergent_integrand(curve, g):
+        monkeypatch.setattr(checks, "wedge", diverging_once)
+        return star_identities(curve, g)
+
+    monkeypatch.setattr(checks, "check_star_identities", with_one_divergent_integrand)
     assert run(["verify", _narrow_leg_file(tmp_path)]) == 1
     report = _strict_report(capsys.readouterr())
     status = {c["id"]: c["status"] for c in report["checks"]}
     assert status.pop("star-isometry") == "fail"
     assert set(status.values()) == {"pass"}
     assert any(note.startswith("star-isometry fails") and "diverge" in note for note in report["notes"])
+    assert any("the test form pairs (0,0) 0-0 diverge;" in note for note in report["notes"])
 
 
 def test_module_entry_points(theta_file, bad_file):

@@ -287,6 +287,38 @@ def test_first_call_keeps_few_arrays_alive():
     assert peak < 4 * grid.nbytes
 
 
+def test_walk_of_many_roots_keeps_few_arrays_alive():
+    # 1000 roots read one shared node: it is computed once and kept only until the last of them,
+    # and each root's value is dropped once the caller has reduced it
+    import tracemalloc
+
+    from trophodge.expressions import polynomial
+
+    calls = []
+    shared = Opaque(lambda v: calls.append(1) or np.exp(v))
+    roots = [Mul(polynomial([float(k), 1.0]), shared) for k in range(1000)]
+    grid = np.linspace(-1.0, 1.0, 2**16)
+    tracemalloc.start()
+    try:
+        sums = list(map(np.sum, _walk(roots, grid)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grid.nbytes
+    assert calls == [1]
+    assert sums[:3] == [np.sum((grid + k) * np.exp(grid)) for k in range(3)]
+
+
+def test_walk_of_many_roots_equals_one_walk_per_root_bitwise():
+    trees = [parse_expression(s) for s in ["2*exp(2*x)/(1+exp(2*x))^2", "3", "x^2-0.5*x"]]
+    trees += [trees[0].diff(), trees[0].diff().diff(), trees[0]]  # sharing subtrees, and a root repeated
+    for x in POINTS:
+        with np.errstate(all="ignore"):
+            together = list(_walk(trees, x))
+        assert [outcome(lambda node, x: value, None, x) for value in together] \
+            == [outcome(_walk, tree, x) for tree in trees]
+
+
 def test_parse_and_diff_are_built_once():
     from trophodge.superform import EdgeFunction
 

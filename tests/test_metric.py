@@ -92,6 +92,27 @@ def test_integrate_zero_form():
     assert integrate(TRI, form) == 0.0
 
 
+@pytest.mark.parametrize("batch_forms", [512, 2])
+def test_integrate_many_forms_equals_one_at_a_time_bitwise(monkeypatch, batch_forms):
+    from trophodge import metric
+    from trophodge.quadrature import DivergenceError
+
+    monkeypatch.setattr(metric, "BATCH_FORMS", batch_forms)  # 2: the iterable is read in three batches
+    curve = curves.triangle_with_legs()
+    forms = [Superform.on_curve(curve, (1, 1), coeffs) for coeffs in (
+        {"ab": "x^2", "legA": "exp(x)"},
+        {"bc": "exp(x)", "legB": "1"},  # a constant diverges on the leg; its value on bc is dropped
+        {"bc": "exp(x)", "legB": "x*exp(2*x)", "legA": "exp(0.8*x)"},  # exp(0.8 x) refines to level 9
+        {},
+        {"ca": FUBINI_STUDY_SOURCE, "legA": FUBINI_STUDY_SOURCE},
+    )]
+    values = integrate(curve, iter(forms))
+    assert [v for i, v in enumerate(values) if i != 1] == [integrate(curve, f) for i, f in enumerate(forms) if i != 1]
+    with pytest.raises(DivergenceError) as alone:
+        integrate(curve, forms[1])
+    assert isinstance(values[1], DivergenceError) and str(values[1]) == str(alone.value)
+
+
 def test_integrate_rejects_wrong_bidegree():
     with pytest.raises(ValueError, match="bidegree"):
         integrate(TRI, Superform.on_curve(TRI, (1, 0), {"ab": 1}))

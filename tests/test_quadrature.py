@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trophodge import quadrature
+from trophodge.expressions import parse_expression
 from trophodge.quadrature import (
     DivergenceError,
     gauss_legendre,
@@ -179,6 +180,40 @@ def test_level_cap_leaves_a_length_2_chart_every_refinement(monkeypatch):
             integrate_finite(np.sin, -2.5, 0.0)
     finally:
         quadrature._finite_grid.cache_clear()  # drop the 16 MiB of deep levels
+
+
+def _outcomes(values):
+    return [(type(v), str(v)) if isinstance(v, DivergenceError) else v for v in values]
+
+
+def _one_at_a_time(integrate, f, *args):
+    try:
+        return integrate(f, *args)
+    except DivergenceError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("integrate, args, sources, slow", [
+    # level 1 settles the trees but the pole 1/x; |x|^1.5 needs level 5
+    (integrate_finite, (-1.0, 0.0), ["x^3-x", "exp(x)", "1/x", "3"], lambda x: np.abs(x) ** 1.5),
+    # level 1 settles the trees but the constant, which diverges; exp(0.8 x) needs level 9
+    (integrate_lower_tail, (0.0,), ["2*exp(2*x)/(1+exp(2*x))^2", "x^2*2*exp(2*x)/(1+exp(2*x))^2", "1"],
+     lambda x: np.exp(0.8 * x)),
+])
+def test_batch_equals_one_at_a_time_bitwise(integrate, args, sources, slow):
+    trees = [parse_expression(s) for s in sources]
+    integrands = [*trees, trees[0].diff(), slow]  # a derivative sharing subtrees, and a plain callable
+    batch = integrate(integrands, *args)
+    assert _outcomes(batch) == _outcomes([_one_at_a_time(integrate, f, *args) for f in integrands])
+    assert sum(isinstance(v, DivergenceError) for v in batch) == 1
+
+
+def test_deeper_levels_walk_only_the_integrands_still_refining():
+    fast, slow = _Counted(lambda x: x**3 - x), _Counted(lambda x: np.abs(x) ** 1.5)
+    alone = _Counted(slow.f)
+    integrate_finite([fast, slow], -1.0, 0.0)
+    integrate_finite(alone, -1.0, 0.0)
+    assert fast.calls == 1 and slow.calls == alone.calls > 3
 
 
 def test_cached_grids_are_read_only():
