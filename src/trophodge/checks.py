@@ -207,6 +207,15 @@ def _default_tol(curve: TropicalCurve) -> float:
     return 1e-7 if curve.infinite_edges() else 1e-8
 
 
+def _worst(residuals) -> float:
+    """The largest of non-negative ``residuals``, 0.0 for none, NaN if any is NaN.
+
+    ``max`` keeps what it holds against a NaN, so a NaN residual would
+    read as 0 and pass; NaN <= tol is False, so this one fails.
+    """
+    return float(np.max(list(residuals), initial=0.0))
+
+
 def _integrals(curve: TropicalCurve, forms) -> list[float]:
     """The integrals of (1,1) forms from one ``integrate`` call, raising the first divergent one's error.
 
@@ -228,7 +237,7 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], seed: int = 0) ->
             raise ValueError("check_stokes expects (1,0) forms")
         if not is_regular(form, curve).passed:
             raise ValueError("non-regular input form rejected")
-    worst = max((abs(value) for value in _integrals(curve, (d_second(form) for form in forms))), default=0.0)
+    worst = _worst(abs(value) for value in _integrals(curve, (d_second(form) for form in forms)))
     report.add(
         "stokes-closed",
         "the integral of d'' of a regular (1,0) form vanishes",
@@ -241,7 +250,7 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], seed: int = 0) ->
     partners = regular_test_forms(curve, (0, 0), len(forms), seed + 7919)
     sides = _integrals(curve, (side for phi, psi in zip(forms, partners)
                                for side in (wedge(d_second(phi), psi), wedge(phi, d_second(psi)))))
-    worst = max((abs(lhs - rhs) for lhs, rhs in zip(sides[::2], sides[1::2])), default=0.0)
+    worst = _worst(abs(lhs - rhs) for lhs, rhs in zip(sides[::2], sides[1::2]))
     report.add(
         "stokes-bilinear",
         "d'' moves across the wedge of (1,0) and (0,0) forms with sign +1",
@@ -258,7 +267,7 @@ def check_integration_by_parts(curve: TropicalCurve, pairs: list[tuple[Superform
     start = time.perf_counter()
     sides = _integrals(curve, (side for psi, phi in pairs
                                for side in (wedge(d_second(psi), phi), wedge(psi, d_second(phi)))))
-    worst = max((abs(lhs + rhs) for lhs, rhs in zip(sides[::2], sides[1::2])), default=0.0)
+    worst = _worst(abs(lhs + rhs) for lhs, rhs in zip(sides[::2], sides[1::2]))
     report.add(
         "integration-by-parts",
         "pairing of d'' against a weakly differentiable partner is antisymmetric",
@@ -319,7 +328,7 @@ def _principal_angle(system, spectral, basis) -> float:
     U, M = spectral.vectors, system.mass
     MU = M @ U
     # the cosines below are only cosines for M-orthonormal U
-    if U.shape[1] != X.shape[1] or np.abs(U.T @ MU - np.eye(U.shape[1])).max() > 1e-8:
+    if U.shape[1] != X.shape[1] or not np.abs(U.T @ MU - np.eye(U.shape[1])).max() <= 1e-8:  # a NaN fails too
         return math.pi / 2
     gram = X.T @ (M @ X)
     X = X @ np.linalg.inv(np.linalg.cholesky(gram).T)
@@ -359,7 +368,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=H_LIST) -> C
     exact_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    angle = 0.0
+    angles = []
     ambiguous = False
     for h in h_list:
         try:
@@ -368,7 +377,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=H_LIST) -> C
                 system = assemble(mesh, curve, g, basis.bidegree)
                 spectral = kernel(system)
                 dimensions.append(spectral.kernel_dimension)
-                angle = max(angle, _principal_angle(system, spectral, basis))
+                angles.append(_principal_angle(system, spectral, basis))
         except AmbiguousKernelError:
             ambiguous = True
     both_s = exact_s + time.perf_counter() - start
@@ -400,7 +409,7 @@ def check_hodge_theorem(curve: TropicalCurve, g: KahlerForm, h_list=H_LIST) -> C
     report.add(
         "hodge-kernel-span",
         "discrete kernels reproduce the exact harmonic spans",
-        angle,
+        _worst(angles),
         1e-6,
         both_s,
         status="ambiguous" if ambiguous else None,
@@ -416,12 +425,12 @@ def _sample_grid(e) -> np.ndarray:
 
 def _sup_difference(curve, pairs) -> float:
     """Largest |a - b| over the sample grids of all edges and all form pairs (a, b), in one walk per edge."""
-    worst = 0.0
+    differences = []
     for e in curve.sorted_edges():
         values = _walk([form.coefficients[e.id].node for pair in pairs for form in pair], _sample_grid(e))
         for va, vb in zip(values, values):  # consecutive values: a pair's two sides
-            worst = max(worst, float(np.max(np.abs(np.asarray(va, dtype=float) - np.asarray(vb, dtype=float)))))
-    return worst
+            differences.append(np.max(np.abs(np.asarray(va, dtype=float) - np.asarray(vb, dtype=float))))
+    return _worst(differences)
 
 
 def _star_family(curve: TropicalCurve, bidegree, g: KahlerForm) -> list[Superform]:
@@ -480,17 +489,16 @@ def check_star_identities(curve: TropicalCurve, g: KahlerForm) -> CheckReport:
                 labels.append(f"({p},{q}) {i}-{j}")
                 sides += [wedge(family[i], stars[j]), wedge(stars[i], stars_of_stars[j])]
     values = integrate(curve, sides)
-    worst = 0.0
-    divergent = []
+    differences, divergent = [], []
     for label, direct, starred in zip(labels, values[::2], values[1::2]):
         if isinstance(direct, DivergenceError) or isinstance(starred, DivergenceError):
             divergent.append(label)
             continue
-        worst = max(worst, abs(direct - starred))
+        differences.append(abs(direct - starred))
     report.add(
         "star-isometry",
         "the star preserves the scalar product",
-        worst,
+        _worst(differences),
         1e-7,
         time.perf_counter() - start,
         status="fail" if divergent else None,
@@ -521,7 +529,7 @@ def _laplacian_formula_note(curve: TropicalCurve, g: KahlerForm) -> str:
     this package computes.  The discrepancy is reported, never absorbed.
     Legs carry g DECAY, as in ``_star_family``, so the term stays finite
     on weights that decay faster than e^{2x}."""
-    worst = 0.0
+    terms = []
     for e in curve.sorted_edges():
         w = g.weights[e.id]
         f = EdgeFunction.from_expression(DECAY, domain=e.chart)
@@ -532,7 +540,8 @@ def _laplacian_formula_note(curve: TropicalCurve, g: KahlerForm) -> str:
         gv = np.asarray(w(xs), dtype=float)
         fv = np.asarray(f(xs), dtype=float)
         # the alternative expansion adds one extra g'' f / g^2 term
-        worst = max(worst, float(np.max(np.abs(gpp * fv / gv**2))))
+        terms.append(np.max(np.abs(gpp * fv / gv**2)))
+    worst = _worst(terms)
     return (
         "the (1,1) Laplacian follows the operator composition -(f/g)''; an alternative "
         f"coordinate expansion with a doubled g''f/g^2 term would differ by up to {worst:.6e} "

@@ -25,9 +25,11 @@ row for its lowest DOF gives the basis in closed form; its entries are
 row-echelon form would give; a (0,0) system has no rows, so its
 assembled pencil is the reduced one.  One sparse
 eigensolver serves ``kernel`` and ``spectrum``: subspace iteration
-with the spectral transformation (K + M)^{-1} M, applied twice per
-Rayleigh-Ritz step (Rutishauser 1970), so each step shrinks the
-residuals by the square of the transformed eigenvalue ratio, until the
+with the spectral transformation T = (K + M)^{-1} M (Rutishauser 1970),
+whose random start takes one solve before the first Rayleigh-Ritz step
+and whose block takes a Chebyshev polynomial of degree 3 in T between
+steps, three solves that shrink the wanted residuals by
+1 / C_3(2 (1 + lambda_top) / (1 + lambda_k) - 1) per step, until the
 wanted pairs' relative residual reaches 1e-10 (their eigenvalues are
 then right to rounding, since a Ritz value's error is about the square
 of its residual) or stops halving; the Ritz step works on a basis
@@ -374,10 +376,11 @@ def _reduced_pencil(system: DiscreteSystem):
 
 
 GAP_RATIO_MIN = 1000.0  # a kernel ends where the spectrum jumps by this factor
-_RATE = 0.25  # a wide enough block shrinks the wanted residuals this much per sweep of two solves
+_RATE = 0.25  # the block widens while the squared ratio of its wanted and top 1 + theta is above this
 _STALL = 1e-6  # relative residual above which a stall means too narrow a block
 _TOL = 1e-10  # relative residual at which the wanted pairs have converged
 _CLUSTER = 1e-6  # relative spacing below which Ritz values form one cluster
+_DEGREE = 3  # of the Chebyshev filter between Ritz steps: the solves per sweep
 _MAX_SWEEPS = 300
 _MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
 _MAX_MESH_NODES = _MAX_BLOCK_ENTRIES  # a mesh's node array is no larger than one block; solves hit _widen first
@@ -484,34 +487,75 @@ def _ritz_vectors(S, A, B, rng):
     raise AmbiguousKernelError("the block could not be made B-orthonormal")
 
 
+def _chebyshev(lu, B, X, Y, b: float):
+    """p(T) X for T = (A + B)^{-1} B, given Y = T X, where
+    p(mu) = C_m(2 mu / b - 1) / C_m(2 / b - 1), C_m the Chebyshev
+    polynomial of degree m = _DEGREE.
+
+    |C_m| is at most 1 on [0, b], which holds the eigenvalues
+    1 / (1 + lambda) of T for every lambda above the block's top Ritz
+    value when b = 1 / (1 + theta_top), and above b it grows faster than
+    any other polynomial of degree m bounded by 1 there.  The scaled
+    three-term recurrence (Zhou & Saad, SIAM J. Matrix Anal. Appl. 29,
+    2007) builds p(T) X from Y and m - 1 more solves; dividing by
+    C_m at mu = 1 (lambda = 0) as it goes keeps every term of the order
+    of X, so none overflows.  Y is overwritten.
+    """
+    tau = 2.0 / b - 1.0
+    sigma = 1.0 / tau
+    Y *= 2.0 / b
+    Y -= X
+    Y *= sigma
+    before, block = X, Y
+    for _ in range(_DEGREE - 1):
+        following = 1.0 / (2.0 * tau - sigma)
+        W = np.ascontiguousarray(_solve(lu, B @ block))
+        W *= 2.0 / b
+        W -= block
+        W *= 2.0 * following
+        W -= (sigma * following) * before
+        before, block, sigma = block, W, following
+    return block
+
+
 def _lowest(A, B, k: int, start=None):
     """The k lowest eigenpairs of A x = lambda B x, certified complete.
 
-    Subspace iteration on (A + B)^{-1} B, the spectral transformation of
-    Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start,
-    with two solves per Rayleigh-Ritz step (Rutishauser, Numer. Math. 16,
-    1970).  Each sweep B-orthonormalizes the block through its Gram
-    matrix into Q, with no QR factorization, and takes the Ritz vectors
-    from the small symmetric matrix Q^T (A Q) (``_ritz_vectors``).  Each
-    Ritz value is then the Rayleigh quotient of its vector x from the
-    sparse products A x and B x: the block also spans eigenvalues up to
-    1e9 on truncated legs, and A x taken as a combination of the columns
-    of A Q would lose the small ones to cancellation.  A Ritz value theta
-    lies within rho = sqrt((1 + theta) r^T (A + B)^{-1} r),
-    r = A x - theta B x, of an eigenvalue to first order; the sweep's
-    first solve, y = (A + B)^{-1} B x, gives rho and the next block.
-    Once the sweep has decided to stop or to grow, the block takes a
-    second solve, so a sweep shrinks the wanted residuals by
-    ((1 + theta_k) / (1 + theta_top))^2.  The block doubles while that
-    square is above _RATE, or while the wanted pairs' largest
-    rho / (1 + theta) stops halving above _STALL.  The sweeps end when
-    that residual is at most _TOL, or stops halving below _STALL.  The
-    target _TOL = 1e-10 suffices: a Ritz value's error is of the order of
-    rho^2 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 11),
-    and a Ritz vector's angle to its eigenspace about rho over the gap,
-    1e-8 for a gap of 0.01.  The halving test ends the sweeps where the
-    rounding floor lies above _TOL, as on the largest meshes (the floor
-    is 7e-12 at n = 38912 and grows with n).  Then the cluster rule
+    Subspace iteration on T = (A + B)^{-1} B, the spectral transformation
+    of Ericsson & Ruhe (Math. Comp. 35, 1980), from a fixed random start
+    (Rutishauser, Numer. Math. 16, 1970).  Random columns, the start's
+    and those a widening appends, take one solve before a Rayleigh-Ritz
+    step sees them, so the first decision to widen reads the spectrum,
+    not the random block, whose Ritz values on a truncated leg lie near
+    6e7.  Each sweep B-orthonormalizes the block through its Gram matrix
+    into Q, with no QR factorization, and takes the Ritz vectors from the
+    small symmetric matrix Q^T (A Q) (``_ritz_vectors``).  Each Ritz
+    value is then the Rayleigh quotient of its vector x from the sparse
+    products A x and B x: the block also spans eigenvalues up to 1e9 on
+    truncated legs, and A x taken as a combination of the columns of A Q
+    would lose the small ones to cancellation.  A Ritz value theta lies
+    within rho = sqrt((1 + theta) r^T (A + B)^{-1} r), r = A x - theta B x,
+    of an eigenvalue to first order; the sweep's first solve,
+    y = (A + B)^{-1} B x, gives rho.  Once the sweep has decided to stop
+    or to grow, the block becomes p(T) X, the Chebyshev filter of degree
+    _DEGREE = 3 on [0, 1 / (1 + theta_top)] (``_chebyshev``), whose first
+    degree is y: two more solves, after which a sweep has shrunk the
+    wanted residuals by about 1 / C_3(2 (1 + theta_top) / (1 + theta_k) - 1),
+    where T^2, one solve fewer, gives ((1 + theta_k) / (1 + theta_top))^2.
+    The block doubles while ((1 + theta_k) / (1 + theta_top))^2 is above
+    _RATE, so a block that stops widening gains at least C_3(3) = 99 per
+    sweep, or while the wanted pairs' largest rho / (1 + theta) stops
+    halving above _STALL.  _RATE = 1/4 measures best with the filter: on
+    the benchmark's kernels and spectra and grids up to genus 121, 1/16
+    widened more and took 40% longer, and 1/2 took 20% more Ritz steps
+    and no less time.  The sweeps end when that residual is at most
+    _TOL, or stops halving below _STALL.  The target _TOL = 1e-10
+    suffices: a Ritz value's error is of the order of rho^2 (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, ch. 11), and a Ritz vector's
+    angle to its eigenspace about rho over the gap, 1e-8 for a gap of
+    0.01.  The halving test ends the sweeps where the rounding floor lies
+    above _TOL, as on the largest meshes (the floor is 7e-12 at
+    n = 38912 and grows with n).  Then the cluster rule
     applies, and the inertia just above the wanted Ritz values must
     count them (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15,
     1994).  Ritz values bound eigenvalues from above, so a larger count
@@ -523,11 +567,14 @@ def _lowest(A, B, k: int, start=None):
     """
     n = A.shape[0]
     lu, rng, S = start or (None, np.random.default_rng(0), np.zeros((n, 0)))
-    S = _widen(S, max(S.shape[1], min(n, k + 4)), rng)  # checks the size cap first
+    fresh = S.shape[1]  # a continued block's columns have had their solves
+    S = _widen(S, max(fresh, min(n, k + 4)), rng)  # checks the size cap first
     if lu is None:
         lu = _factor(A, B, -1.0)[0]
     previous = math.inf
     for _ in range(_MAX_SWEEPS):
+        if fresh < S.shape[1]:  # random columns take one solve before a Ritz step sees them
+            S[:, fresh:] = _solve(lu, B @ S[:, fresh:])
         width = S.shape[1]
         X = _ritz_vectors(S, A, B, rng)
         AX, BX = A @ X, B @ X
@@ -564,10 +611,11 @@ def _lowest(A, B, k: int, start=None):
                 if count < k:
                     raise AmbiguousKernelError(f"{count} eigenvalues but {k} Ritz values lie below {shift:.6g}")
                 k, previous, grow = count, math.inf, count + 4 > width
+        S = _chebyshev(lu, B, X, S, 1.0 / nu[-1])
+        del X  # only the block stays live from here to the next Ritz step
+        fresh = width
         if grow:
             S, previous = _widen(S, min(n, max(2 * width, k + 4)), rng), math.inf
-        del X  # only the block stays live through the second solve
-        S = _solve(lu, B @ S)
     else:
         raise AmbiguousKernelError(f"no convergence in {_MAX_SWEEPS} sweeps")
     X /= np.sqrt(norm2)

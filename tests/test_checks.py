@@ -460,3 +460,18 @@ def test_annulus_integral_scaled_by_2pi_turns_theta_checks_red(monkeypatch):
     statuses = {c.check_id: c.status for c in report.checks}
     assert set(statuses) == {"theta-constant", "theta-cubic", "theta-fubini-study"}
     assert set(statuses.values()) == {"fail"}
+
+
+def test_nan_laplacian_turns_star_commutation_red(monkeypatch):
+    # max(worst, nan) keeps worst, so a residual reduced by max would read a NaN difference as 0
+    from trophodge.metric import laplacian
+
+    def nan_scaled(form, g):
+        return laplacian(form, g).map_coefficients(lambda fn: fn.scale(math.nan))
+
+    tri = curves.triangle()
+    assert _star_statuses(monkeypatch, tri)["star-laplacian-commutation"] == "pass"
+    g = KahlerForm.from_spec(tri, None)
+    monkeypatch.setattr(checks, "laplacian", nan_scaled)
+    residual = {c.check_id: c for c in check_star_identities(tri, g).checks}["star-laplacian-commutation"]
+    assert residual.status == "fail" and math.isnan(residual.residual)

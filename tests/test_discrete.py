@@ -606,7 +606,7 @@ def _kernel_and_ritz_steps(monkeypatch, bidegree):
 
 @pytest.mark.parametrize("bidegree", [(0, 0), (1, 0)])
 def test_kernel_takes_two_solves_per_ritz_step(monkeypatch, bidegree):
-    # two solves per Rayleigh-Ritz step square each step's rate of convergence,
+    # the Chebyshev filter between Rayleigh-Ritz steps speeds each step's convergence,
     # and the sweeps end once the wanted residuals reach _TOL
     dimension, steps = _kernel_and_ritz_steps(monkeypatch, bidegree)
     assert dimension == 1
@@ -642,6 +642,42 @@ def test_kernel_block_on_a_lattice_stays_narrow(monkeypatch):
     assert max(widths) <= 40
 
 
+def test_chebyshev_filter_scales_each_eigen_column_by_the_chebyshev_polynomial():
+    # on a diagonal pencil the eigen-columns are the unit vectors and T = (A + B)^{-1} B
+    # has eigenvalues mu = 1 / (1 + a): column i comes out as C_m(2 mu_i / b - 1) e_i,
+    # all up to one common factor
+    a = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 7.0, 100.0, 1e4])  # no 2 mu / b - 1 at a zero of C_m
+    A = scipy.sparse.diags(a, format="csr")
+    B = scipy.sparse.identity(a.size, format="csr")
+    lu = discrete._factor(A, B, -1.0)[0]
+    mu = 1.0 / (1.0 + a)
+    b = mu[3]
+    X = np.eye(a.size)
+    filtered = discrete._chebyshev(lu, B, X, np.diag(mu), b)
+    assert np.abs(filtered - np.diag(np.diag(filtered))).max() <= 1e-15
+    chebyshev = np.polynomial.chebyshev.chebval(2.0 * mu / b - 1.0, [0] * discrete._DEGREE + [1])
+    ratio = np.diag(filtered) / chebyshev
+    assert ratio == pytest.approx(np.full(a.size, ratio[0]), rel=1e-12)
+
+
+def test_first_kernel_block_is_sized_after_one_solve(monkeypatch):
+    # on the raw random block the legs' Ritz values sit near 6e7 and double the
+    # first block; one solve ahead of the first Ritz step keeps it k + 4 wide
+    curve = curves.triangle_with_legs()
+    g = KahlerForm.from_spec(curve, None)
+    system = assemble(build_mesh(curve, g, 1 / 512, 1e-4), curve, g, (0, 0))
+    widths = []
+    ritz_vectors = discrete._ritz_vectors
+
+    def recording(S, A, B, rng):
+        widths.append(S.shape[1])
+        return ritz_vectors(S, A, B, rng)
+
+    monkeypatch.setattr(discrete, "_ritz_vectors", recording)
+    assert kernel(system).kernel_dimension == 1
+    assert widths and set(widths) == {6 + 4}
+
+
 def _lattice(n, legs=(), toward_smaller=False):
     """The n x n lattice of unit edges, with Fubini-Study legs at the named vertices."""
     vertices = [f"v{i}_{j}" for i in range(n) for j in range(n)]
@@ -665,6 +701,7 @@ def _lattice(n, legs=(), toward_smaller=False):
     [
         (6, (), False),  # genus 25: shift-invert Lanczos did not converge
         (5, ("v0_0", "v2_2"), True),  # genus 16: a silent kernel dimension of 15
+        (8, ("v0_0", "v7_7", "v3_4"), False),  # genus 49; its (0,0) kernel is in the narrow-block test
     ],
 )
 def test_kernel_of_lattices_is_the_genus(n, legs, toward_smaller):
