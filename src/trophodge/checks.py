@@ -5,7 +5,11 @@ residual against a hard tolerance; a failing check never aborts the
 suite.  Random test forms have polynomial coefficients from a seeded
 generator (plus a tail window on infinite edges) whose end values are
 drawn junction by junction to meet the vertex conditions, so the
-reports are reproducible from (curve, weight, seed).
+reports are reproducible from (curve, weight, seed).  A seeded family
+of test forms is one superform whose rows are the forms: its numbers
+are (F, 1) columns and its trees are built once per edge (see
+``expressions``), so Stokes and integration by parts read all F forms
+in one walk.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ _TAIL_WINDOW_BOUND = -8.0 * math.log(2.0)
 TRUNC_EPS = 1e-4
 H_LIST = (1 / 16, 1 / 32)  # mesh steps of the hodge checks' discrete kernels
 FORM_COUNT = 20  # test forms per family in run_verification
-MAX_FORM_COUNT = 2**12  # verify on triangle_with_legs with this many: about 10 s and 172 MiB peak
+MAX_FORM_COUNT = 2**12  # verify on triangle_with_legs with this many: about 2.1 s and 76 MiB peak
 DECAY = "exp(2*x)/(1+exp(2*x))"  # decays at -inf like the Fubini-Study weight
 
 
@@ -140,18 +144,51 @@ def band_window(rise: tuple[float, float], fall: tuple[float, float], domain) ->
     return out
 
 
-def _cubic(head: float, tail: float, e, r0: float, r1: float) -> EdgeFunction:
+def _cubic(head, tail, e, r0, r1) -> EdgeFunction:
     """H + (H - T) x / l + x (x + l)(r0 + r1 x / l) / l^2 on a finite edge:
     the end values H at the head and T at the tail, plus a bubble vanishing
     at both.  The bubble is scaled to the edge, so it stays within
     (|r0| + |r1|) / 4 on an edge of any length and the integrals over it
-    keep the absolute quadrature tolerance."""
+    keep the absolute quadrature tolerance.  Each number may be an (F, 1)
+    column."""
     l = e.length
     return EdgeFunction.polynomial([head, (head - tail) / l + r0 / l, (r0 + r1) / l**2, r1 / l**3], domain=e.chart)
 
 
-def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) -> list[Superform]:
-    """Seeded random regular superforms.
+def _columns(draws: list, edge_id: str) -> list[np.ndarray]:
+    """The numbers drawn for one edge, one (F, 1) column per position: row r is the r-th form's."""
+    return [column[:, None] for column in np.array([draw[edge_id] for draw in draws], dtype=float).T]
+
+
+def _draw_test_form(curve: TropicalCurve, scalar: bool, rng, junctions) -> dict:
+    """One test form's numbers per edge, drawn from rng: (head, tail, r0, r1)
+    of a finite edge's cubic, (a0, a1, head) of a leg's windowed line."""
+    end = {}  # (edge id, side) -> canonical end value
+    for ends in junctions:
+        if scalar:  # continuity: one value for every end
+            values = [rng.uniform(-1.0, 1.0)] * len(ends)
+        else:  # Kirchhoff: vertex-local values w summing to zero; the canonical value is sign * w
+            w = rng.uniform(-1.0, 1.0, size=len(ends))
+            values = [sign * v for (_, _, sign), v in zip(ends, w - w.mean())]
+        end.update(((e.id, side), value) for (e, side, _), value in zip(ends, values))
+
+    def end_value(e, side):
+        return end[e.id, side] if (e.id, side) in end else rng.uniform(-1.0, 1.0)
+
+    draw = {}
+    for e in curve.sorted_edges():
+        head = end_value(e, "head")
+        if not e.infinite:
+            r0, r1 = rng.uniform(-1.0, 1.0, size=2)
+            draw[e.id] = (head, end_value(e, "tail"), r0, r1)
+        else:
+            a0 = rng.uniform(-1.0, 1.0) if scalar else head
+            draw[e.id] = (a0, rng.uniform(-1.0, 1.0), head)
+    return draw
+
+
+def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) -> Superform:
+    """A family of ``count`` seeded random regular superforms, one per row.
 
     The canonical end values are drawn junction by junction so that the
     vertex conditions hold by construction: one value per junction for
@@ -161,7 +198,9 @@ def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) ->
     Finite edges carry the cubic through their two end values with a
     random bubble; infinite edges a windowed linear coefficient through
     the head value (plus a constant for (0,0) forms, which only need to
-    be eventually constant).
+    be eventually constant).  One generator draws the forms one after
+    another; the numbers are stacked into (count, 1) columns, so each
+    edge has one tree for the whole family.
     """
     bd = Bidegree.of(bidegree)
     if bd.as_tuple() not in ((0, 0), (1, 0)):
@@ -169,38 +208,23 @@ def regular_test_forms(curve: TropicalCurve, bidegree, count: int, seed: int) ->
     scalar = bd.p == 0
     rng = np.random.default_rng(seed)
     junctions = [ends for _, ends in curve.junctions()]
+    draws = [_draw_test_form(curve, scalar, rng, junctions) for _ in range(count)]
 
-    forms = []
-    for _ in range(count):
-        end = {}  # (edge id, side) -> canonical end value
-        for ends in junctions:
-            if scalar:  # continuity: one value for every end
-                values = [rng.uniform(-1.0, 1.0)] * len(ends)
-            else:  # Kirchhoff: vertex-local values w summing to zero; the canonical value is sign * w
-                w = rng.uniform(-1.0, 1.0, size=len(ends))
-                values = [sign * v for (_, _, sign), v in zip(ends, w - w.mean())]
-            end.update(((e.id, side), value) for (e, side, _), value in zip(ends, values))
-
-        def end_value(e, side):
-            return end[e.id, side] if (e.id, side) in end else rng.uniform(-1.0, 1.0)
-
-        coeffs = {}
-        for e in curve.sorted_edges():
-            head = end_value(e, "head")
-            if not e.infinite:
-                r0, r1 = rng.uniform(-1.0, 1.0, size=2)
-                coeffs[e.id] = _cubic(head, end_value(e, "tail"), e, r0, r1)
-                continue
-            # the window equals 1 at the head and 0 beyond _TAIL_WINDOW_BOUND
-            a0 = rng.uniform(-1.0, 1.0) if scalar else head
-            linear = EdgeFunction.polynomial([a0, rng.uniform(-1.0, 1.0)], domain=e.chart)
-            fn = linear * _smoothstep_window(_TAIL_WINDOW_BOUND, e.chart)
-            if scalar:
-                fn = fn + EdgeFunction.constant(head - a0, e.chart)
-            fn.tail_bound = _TAIL_WINDOW_BOUND
-            coeffs[e.id] = fn
-        forms.append(Superform(bd, coeffs))
-    return forms
+    coeffs = {}
+    for e in curve.sorted_edges():
+        columns = _columns(draws, e.id)
+        if not e.infinite:
+            head, tail, r0, r1 = columns
+            coeffs[e.id] = _cubic(head, tail, e, r0, r1)
+            continue
+        # the window equals 1 at the head and 0 beyond _TAIL_WINDOW_BOUND
+        a0, a1, head = columns
+        fn = EdgeFunction.polynomial([a0, a1], domain=e.chart) * _smoothstep_window(_TAIL_WINDOW_BOUND, e.chart)
+        if scalar:
+            fn = fn + EdgeFunction.constant(head - a0, e.chart)
+        fn.tail_bound = _TAIL_WINDOW_BOUND
+        coeffs[e.id] = fn
+    return Superform(bd, coeffs)
 
 
 def _default_tol(curve: TropicalCurve) -> float:
@@ -216,28 +240,37 @@ def _worst(residuals) -> float:
     return float(np.max(list(residuals), initial=0.0))
 
 
-def _integrals(curve: TropicalCurve, forms) -> list[float]:
-    """The integrals of (1,1) forms from one ``integrate`` call, raising the first divergent one's error.
+def _sides(curve: TropicalCurve, pairs) -> tuple[list[float], list[float]]:
+    """The row integrals of both sides of each (lhs, rhs) pair of (1,1) forms, from one ``integrate`` call.
 
-    Callers list the two sides of an identity next to each other, so a
-    walk reads one form's subtrees one after another."""
-    return [_unwrap(value) for value in integrate(curve, forms)]
+    Both sides of a pair have the same rows.  The first divergent integral
+    raises its error, in the order lhs row 0, rhs row 0, lhs row 1, ...
+    of each pair in turn."""
+    values = integrate(curve, [side for pair in pairs for side in pair])
+    lhs, rhs, start = [], [], 0
+    for left, right in pairs:
+        n = left.rows
+        for a, b in zip(values[start:start + n], values[start + n:start + n + right.rows], strict=True):
+            lhs.append(_unwrap(a))
+            rhs.append(_unwrap(b))
+        start += n + right.rows
+    return lhs, rhs
 
 
-def check_stokes(curve: TropicalCurve, forms: list[Superform], seed: int = 0) -> CheckReport:
+def check_stokes(curve: TropicalCurve, forms: Superform, seed: int = 0) -> CheckReport:
     """Vanishing of the total d'' integral, plus the bilinear form of it.
 
-    Rejects non-regular inputs; partners for the bilinear identity are a
-    seeded regular (0,0) family of matching size.
+    ``forms`` is a (1,0) family (a single form is one row).  Rejects it
+    unless every row is regular; partners for the bilinear identity are
+    a seeded regular (0,0) family of as many rows.
     """
     report = CheckReport()
     start = time.perf_counter()
-    for form in forms:
-        if form.bidegree.as_tuple() != (1, 0):
-            raise ValueError("check_stokes expects (1,0) forms")
-        if not is_regular(form, curve).passed:
-            raise ValueError("non-regular input form rejected")
-    worst = _worst(abs(value) for value in _integrals(curve, (d_second(form) for form in forms)))
+    if forms.bidegree.as_tuple() != (1, 0):
+        raise ValueError("check_stokes expects (1,0) forms")
+    if not is_regular(forms, curve).passed:
+        raise ValueError("non-regular input form rejected")
+    worst = _worst(abs(_unwrap(value)) for value in integrate(curve, [d_second(forms)]))
     report.add(
         "stokes-closed",
         "the integral of d'' of a regular (1,0) form vanishes",
@@ -247,10 +280,9 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], seed: int = 0) ->
     )
 
     start = time.perf_counter()
-    partners = regular_test_forms(curve, (0, 0), len(forms), seed + 7919)
-    sides = _integrals(curve, (side for phi, psi in zip(forms, partners)
-                               for side in (wedge(d_second(phi), psi), wedge(phi, d_second(psi)))))
-    worst = _worst(abs(lhs - rhs) for lhs, rhs in zip(sides[::2], sides[1::2]))
+    partners = regular_test_forms(curve, (0, 0), forms.rows, seed + 7919)
+    lhs, rhs = _sides(curve, [(wedge(d_second(forms), partners), wedge(forms, d_second(partners)))])
+    worst = _worst(abs(a - b) for a, b in zip(lhs, rhs))
     report.add(
         "stokes-bilinear",
         "d'' moves across the wedge of (1,0) and (0,0) forms with sign +1",
@@ -262,12 +294,13 @@ def check_stokes(curve: TropicalCurve, forms: list[Superform], seed: int = 0) ->
 
 
 def check_integration_by_parts(curve: TropicalCurve, pairs: list[tuple[Superform, Superform]]) -> CheckReport:
-    """Largest | int d''psi ^ phi + int psi ^ d''phi | over weakly differentiable pairs (psi, phi)."""
+    """Largest | int d''psi ^ phi + int psi ^ d''phi | over weakly differentiable pairs (psi, phi).
+
+    Each pair is of two forms or of two families of equal rows."""
     report = CheckReport()
     start = time.perf_counter()
-    sides = _integrals(curve, (side for psi, phi in pairs
-                               for side in (wedge(d_second(psi), phi), wedge(psi, d_second(phi)))))
-    worst = _worst(abs(lhs + rhs) for lhs, rhs in zip(sides[::2], sides[1::2]))
+    lhs, rhs = _sides(curve, [(wedge(d_second(psi), phi), wedge(psi, d_second(phi))) for psi, phi in pairs])
+    worst = _worst(abs(a + b) for a, b in zip(lhs, rhs))
     report.add(
         "integration-by-parts",
         "pairing of d'' against a weakly differentiable partner is antisymmetric",
@@ -278,38 +311,48 @@ def check_integration_by_parts(curve: TropicalCurve, pairs: list[tuple[Superform
     return report
 
 
-def energy_test_pair(curve: TropicalCurve, seed: int) -> tuple[Superform, Superform]:
-    """A weakly differentiable (0,0)/(1,0) pair, decaying on infinite edges.
+def energy_test_pair(curve: TropicalCurve, seed: int, count: int = 1) -> tuple[Superform, Superform]:
+    """Families of ``count`` weakly differentiable (0,0)/(1,0) pairs, decaying on infinite edges.
 
-    Infinite edges carry multiples of ``DECAY``, so the pair exercises the
+    Infinite edges carry multiples of ``DECAY``, so the pairs exercise the
     tail estimates without being regular at infinity.  The (0,0) form
     takes one value per vertex, continued by cubics on finite edges; the
     (1,0) form is a regular test form with its tails swapped for decaying
-    ones of the same end values.
+    ones of the same end values.  Row k is the pair of seed + k: its
+    (0,0) form is drawn from a generator seeded seed + k, its (1,0) form
+    from one seeded seed + k + 31.
     """
-    rng = np.random.default_rng(seed)
-    vertex_value = {v: rng.uniform(-1.0, 1.0) for v in curve.sorted_vertices()}
-    psi_coeffs = {}
-    for e in curve.sorted_edges():
-        if e.infinite:
-            amp = rng.uniform(-1.0, 1.0)
-            shift = vertex_value[e.head] - amp * 0.5
-            fn = EdgeFunction.from_expression(DECAY, domain=e.chart).scale(amp)
-            psi_coeffs[e.id] = fn + EdgeFunction.constant(shift, e.chart)
-        else:
-            r0, r1 = rng.uniform(-1.0, 1.0, size=2)
-            psi_coeffs[e.id] = _cubic(vertex_value[e.head], vertex_value[e.tail], e, r0, r1)
-    psi = Superform(Bidegree(0, 0), psi_coeffs)
+    junctions = [ends for _, ends in curve.junctions()]
+    psi_draws, phi_draws = [], []
+    for k in range(count):
+        rng = np.random.default_rng(seed + k)
+        vertex_value = {v: rng.uniform(-1.0, 1.0) for v in curve.sorted_vertices()}
+        draw = {}
+        for e in curve.sorted_edges():
+            if e.infinite:
+                amp = rng.uniform(-1.0, 1.0)
+                draw[e.id] = (amp, vertex_value[e.head] - amp * 0.5)
+            else:
+                r0, r1 = rng.uniform(-1.0, 1.0, size=2)
+                draw[e.id] = (vertex_value[e.head], vertex_value[e.tail], r0, r1)
+        psi_draws.append(draw)
+        phi_draws.append(_draw_test_form(curve, False, np.random.default_rng(seed + k + 31), junctions))
 
-    phi = regular_test_forms(curve, (1, 0), 1, seed + 31)[0]
-    if curve.infinite_edges():
-        # swap the windowed tails for decaying ones, keeping end values
-        coeffs = dict(phi.coefficients)
-        for e in curve.infinite_edges():
-            end = float(coeffs[e.id](0.0))
-            coeffs[e.id] = EdgeFunction.from_expression(DECAY, domain=e.chart).scale(2.0 * end)
-        phi = Superform(Bidegree(1, 0), coeffs)
-    return psi, phi
+    psi_coeffs, phi_coeffs = {}, {}
+    for e in curve.sorted_edges():
+        psi_columns, phi_columns = _columns(psi_draws, e.id), _columns(phi_draws, e.id)
+        if e.infinite:
+            amp, shift = psi_columns
+            decay = EdgeFunction.from_expression(DECAY, domain=e.chart)
+            psi_coeffs[e.id] = decay.scale(amp) + EdgeFunction.constant(shift, e.chart)
+            # the windowed tail of a regular test form equals a0, its head value, at the head
+            phi_coeffs[e.id] = decay.scale(2.0 * phi_columns[0])
+        else:
+            head, tail, r0, r1 = psi_columns
+            psi_coeffs[e.id] = _cubic(head, tail, e, r0, r1)
+            head, tail, r0, r1 = phi_columns
+            phi_coeffs[e.id] = _cubic(head, tail, e, r0, r1)
+    return Superform(Bidegree(0, 0), psi_coeffs), Superform(Bidegree(1, 0), phi_coeffs)
 
 
 def _principal_angle(system, spectral, basis) -> float:
@@ -579,8 +622,9 @@ def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=
                      form_count: int = FORM_COUNT) -> CheckReport:
     """All verification suites on one curve, run in a fixed order.
 
-    form_count must be at least 1 and at most MAX_FORM_COUNT, checked
-    before any form is built.
+    Stokes and integration by parts each read one family of form_count
+    test forms (pairs).  form_count must be at least 1 and at most
+    MAX_FORM_COUNT, checked before any form is built.
     """
     if form_count < 1:
         raise ValueError(f"verification needs at least one test form per family, got {form_count}")
@@ -589,8 +633,7 @@ def run_verification(curve: TropicalCurve, g: KahlerForm, seed: int = 0, h_list=
     report = CheckReport(seed=seed)
     forms = regular_test_forms(curve, (1, 0), form_count, seed)
     report.extend(check_stokes(curve, forms, seed))
-    pairs = [energy_test_pair(curve, seed + 1000 + k) for k in range(form_count)]
-    report.extend(check_integration_by_parts(curve, pairs))
+    report.extend(check_integration_by_parts(curve, [energy_test_pair(curve, seed + 1000, form_count)]))
     report.extend(check_hodge_theorem(curve, g, h_list))
     report.extend(check_star_identities(curve, g))
     report.extend(check_theta_correspondence())

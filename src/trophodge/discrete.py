@@ -384,7 +384,7 @@ _DEGREE = 3  # of the Chebyshev filter between Ritz steps: the solves per sweep
 _MAX_SWEEPS = 300
 _MAX_BLOCK_ENTRIES = 2**22  # 32 MiB per n x width array
 _MAX_MESH_NODES = _MAX_BLOCK_ENTRIES  # a mesh's node array is no larger than one block; solves hit _widen first
-_L1_WAYS, _L1_PERIOD = 8, 4096  # associativity and set-index period in bytes of a common L1 data cache
+_L1_WAYS, _L1_PERIOD = 12, 4096  # associativity and set-index period in bytes of a 48 KiB L1 data cache
 
 
 def _factor(A, B, shift: float):
@@ -439,12 +439,15 @@ def _solve(lu, X):
     dyadic meshes (n a multiple of 512), the columns fall on the same
     cache sets, and more of them than the cache has ways evict each other
     at every step of the triangular solves: 20 columns at n = 38912 take
-    16.7 ms in one call and 12.2 ms in groups of 8 (medians of 41 on a
-    Xeon core with a 48 KiB L1).  The widest group that keeps each set
-    within its ways follows from n alone.  A block no wider than that is
-    solved in one call, because each call has a fixed cost that small
-    systems would feel: in groups of 8, 20 columns at n = 608 take 99 us
-    against 76 us in one call.
+    16.2 ms in one call and 9.8 ms in groups of 12 (medians of 41 on a
+    Xeon core whose 48 KiB L1 has 12 ways of 64 sets of 64 bytes).  The
+    widest group that keeps each set within its ways follows from n
+    alone.  A block no wider than that is solved in one call, because
+    each call has a fixed cost: the 10-column blocks of triangle_with_legs
+    at n = 19456 and 38912 take 1.89 and 4.67 ms in one call against 2.06
+    and 4.92 ms as 8 + 2 (medians of 101; a tie at n = 9728), and in
+    groups of 8, 20 columns at n = 608 take 99 us against 76 us in one
+    call.
     """
     n, width = X.shape
     group = _L1_WAYS * _L1_PERIOD // math.gcd(8 * n, _L1_PERIOD)

@@ -8,7 +8,8 @@ differentiation exact and trivial.
 
 ``Opaque`` nodes have no source text: a callable of x (or of -l - x, in
 a reversed chart) with an optional derivative factory.  They carry
-windows, interpolants, antiderivatives, ``polynomial`` and reversed trees.
+windows, interpolants, antiderivatives and reversed trees.  ``Poly`` is
+a polynomial in x with ``Num`` coefficients, summed by Horner's rule.
 The product and quotient helpers cancel g*(f/g) and (f*g)/g to f when
 both g are one node, so the Hodge star applied twice returns its input.
 
@@ -27,6 +28,15 @@ array of its shape, with each float literal a one-element array that
 broadcasts: numpy's scalar ``**`` rounds differently from its array
 loop, and this way a subtree of literals rounds as it would on arrays of
 x's shape.
+
+A literal may also be a column: an (F, 1) array.  A tree with column
+literals (and polynomial coefficients, which are literals) holds F
+expressions that differ only in those numbers, one per row: a family of
+test forms is one tree per edge.  Its value at an array x of n nodes is
+an (F, n) array whose row r is, bit for bit, the value of the tree with
+each column replaced by its r-th entry, since numpy broadcasts the
+columns elementwise; a walk can take a subset of the rows.
+``rows(node)`` is F, or 1 for a tree without columns.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Expression", "ExpressionError", "Opaque", "parse_expression", "polynomial", "to_source"]
+__all__ = ["Expression", "ExpressionError", "Opaque", "Poly", "parse_expression", "polynomial", "rows", "to_source"]
 
 
 class ExpressionError(ValueError):
@@ -72,7 +82,7 @@ class Expression:
 
 @dataclass(frozen=True)
 class Num(Expression):
-    value: float
+    value: float  # or an (F, 1) column
 
     def _derivative(self):
         return Num(0.0)
@@ -165,6 +175,19 @@ class Opaque(Expression):
         return _mul(inner, self.arg.diff())
 
 
+@dataclass(frozen=True, eq=False)
+class Poly(Expression):
+    """sum(coeffs[k] * x^k) of degree 1 or more, by Horner's rule in np.polyval's order.
+
+    Its derivative is the polynomial of k * coeffs[k], not the product
+    rule run through the Horner steps, which rounds differently."""
+
+    coeffs: tuple  # of Num
+
+    def _derivative(self):
+        return polynomial([k * c.value for k, c in enumerate(self.coeffs) if k])
+
+
 def _central_difference(fn: Callable) -> Callable:
     def deriv(x):
         x = np.asarray(x, dtype=float)
@@ -179,7 +202,7 @@ _OPS = {Neg: operator.neg, Exp: np.exp, Add: operator.add, Sub: operator.sub, Mu
         Div: operator.truediv}
 
 
-def _walk(roots, x):
+def _walk(roots, x, select=None):
     """Each root at x, computing each distinct node of all roots once.
 
     ``roots`` is one tree, whose value is returned, or a sequence of
@@ -187,7 +210,9 @@ def _walk(roots, x):
     readers over all roots, and a value is dropped after its last read,
     so a node shared by several roots is kept only until the last of
     them, and a caller that reduces each yielded value holds one root's
-    value at a time.
+    value at a time.  ``select``, an index array, reads each column
+    literal at those rows only, so a root with columns comes out with
+    len(select) rows.
     """
     one = isinstance(roots, Expression)
     roots = (roots,) if one else tuple(roots)
@@ -205,6 +230,9 @@ def _walk(roots, x):
         if kind in _BINARY:
             count(node.left)
             count(node.right)
+        elif kind is Poly:
+            for c in node.coeffs:
+                count(c)
         elif kind is not Num and kind is not Var:
             count(node.base if kind is Pow else node.arg)
 
@@ -214,13 +242,23 @@ def _walk(roots, x):
         if v is None:
             kind = type(node)
             if kind is Num:
-                v = np.array([float(node.value)]) if array else float(node.value)
+                v = node.value
+                if type(v) is np.ndarray:
+                    v = v if select is None else v[select]
+                else:
+                    v = np.array([float(v)]) if array else float(v)
             elif kind is Var:
                 v = x
             elif kind in _BINARY:
                 v = _OPS[kind](value(node.left), value(node.right))
+            elif kind is Poly:
+                coeffs = node.coeffs
+                v = value(coeffs[-1])
+                for c in coeffs[-2::-1]:
+                    v = v * x + value(c)
             elif kind is Opaque:
-                v = node.fn(value(node.arg))
+                arg = value(node.arg)
+                v = _walk(node.fn, arg, select) if isinstance(node.fn, Expression) else node.fn(arg)
             elif kind is Pow:
                 v = value(node.base) ** node.exponent
             else:
@@ -233,8 +271,9 @@ def _walk(roots, x):
         return v
 
     def result(root: Expression):
-        # a root without the variable is a one-element array, filled to x's shape;
-        # a root with it has x's shape already
+        # a root without the variable or columns is a one-element array, filled to x's shape;
+        # a root with the variable has x's shape already, and one with columns but not
+        # the variable is an (F, 1) column
         v = value(root)
         return np.full(x.shape, v[0]) if array and np.shape(v) == (1,) != x.shape else v
 
@@ -247,31 +286,48 @@ def _fields(node: Expression) -> list:
     return [getattr(node, name) for name in node.__match_args__]
 
 
+def _children(node: Expression):
+    kind = type(node)
+    if kind is Poly:
+        return node.coeffs
+    if kind is Opaque:
+        return (node.arg, node.fn) if isinstance(node.fn, Expression) else (node.arg,)
+    return [f for f in _fields(node) if isinstance(f, Expression)]
+
+
+def rows(node: Expression) -> int:
+    """The rows of the tree's value: the length of its column literals, or 1 without any; cached per node."""
+    r = node.__dict__.get("_rows")
+    if r is None:
+        value = node.value if type(node) is Num else None
+        r = len(value) if type(value) is np.ndarray else max(map(rows, _children(node)), default=1)
+        node.__dict__["_rows"] = r
+    return r
+
+
+def _literal(value) -> Num:
+    """A number, or an (F, 1) column of them, as a literal node."""
+    return Num(value if type(value) is np.ndarray else float(value))
+
+
 def polynomial(coeffs) -> Expression:
     """sum(coeffs[k] * x^k) by Horner's rule in np.polyval's order: its bits for finite x, bar a leading -0.0.
 
-    Its derivative is the node of k * coeffs[k], not the product rule run
-    through a Horner tree, which rounds differently.
+    A coefficient is a float or an (F, 1) column.  A constant polynomial is
+    its ``Num``, any other a ``Poly``.
     """
-    coeffs = [float(c) for c in coeffs]
+    coeffs = [_literal(c) for c in coeffs]
     if len(coeffs) <= 1:
-        return Num(coeffs[0] if coeffs else 0.0)
-
-    def horner(x):
-        y = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            y = y * x + c
-        return y
-
-    return Opaque(horner, derivative=lambda: polynomial([k * coeffs[k] for k in range(1, len(coeffs))]))
+        return coeffs[0] if coeffs else Num(0.0)
+    return Poly(tuple(coeffs))
 
 
 def _is_zero(e: Expression) -> bool:
-    return type(e) is Num and e.value == 0.0
+    return type(e) is Num and type(e.value) is not np.ndarray and e.value == 0.0
 
 
 def _is_one(e: Expression) -> bool:
-    return type(e) is Num and e.value == 1.0
+    return type(e) is Num and type(e.value) is not np.ndarray and e.value == 1.0
 
 
 def _neg(e):

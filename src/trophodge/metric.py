@@ -18,7 +18,6 @@ formulas serve as independent oracles in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -42,9 +41,6 @@ __all__ = [
 
 # weight of the Fubini-Study form in the canonical chart of one edge
 FUBINI_STUDY_SOURCE = "2*exp(2*x)/(1+exp(2*x))^2"
-# forms that integrate reads and integrates together: the trees a batch holds
-# bound its memory when a check integrates thousands of forms (verify --forms)
-BATCH_FORMS = 512
 
 
 class KahlerError(ValueError):
@@ -199,7 +195,7 @@ def validate_kahler(curve: TropicalCurve, g: KahlerForm) -> KahlerValidationRepo
 
 def edge_integral(curve: TropicalCurve, fn, edge_id: str):
     """Chart integral over one edge of a scalar coefficient, or of each of a sequence of them in one walk per level
-    (see ``quadrature._integrate``)."""
+    (see ``quadrature._integrate``); a coefficient with F rows gives the list of its rows' integrals."""
     e = curve.edge(edge_id)
     if e.infinite:
         return integrate_lower_tail(fn, 0.0)
@@ -209,28 +205,31 @@ def edge_integral(curve: TropicalCurve, fn, edge_id: str):
 def integrate(curve: TropicalCurve, forms):
     """Tropical integral of a (1,1) form: the sum of its chart integrals, edge by edge.
 
-    Given a sequence or iterable of forms, returns their integrals in
-    order.  Each edge integrates the coefficients of up to BATCH_FORMS
-    forms together, so they share the walks over its quadrature grid; an
-    iterable is read one batch at a time.  A form whose integral diverges
-    on some edge gets the DivergenceError of its first such edge in place
-    of a value; a single form raises it.
+    A form with F rows (a family, see ``superform``) is F integrals.
+    Given a sequence or iterable of forms, returns the integrals of all
+    their rows in order, form after form.  Each edge integrates the
+    coefficients of all the forms together, so they share the walks over
+    its quadrature grid, which hold a bounded number of rows each
+    (``quadrature.WALK_CELLS``).  A row whose integral diverges on some
+    edge gets the DivergenceError of its first such edge in place of a
+    value.  A single form of one row returns its value or raises that
+    error; a single family returns the list of its rows' integrals.
     """
     single = isinstance(forms, Superform)
-    forms = iter([forms] if single else forms)
-    totals = []
-    while batch := list(islice(forms, BATCH_FORMS)):
-        for form in batch:
-            if form.bidegree.as_tuple() != (1, 1):
-                raise ValueError(f"tropical integration needs bidegree (1,1), got {form.bidegree.as_tuple()}")
-        sums = [0.0] * len(batch)
-        for e in curve.sorted_edges():
-            values = edge_integral(curve, [form.coefficients[e.id].node for form in batch], e.id)
-            for i, value in enumerate(values):
-                if not isinstance(sums[i], DivergenceError):
-                    sums[i] = value if isinstance(value, DivergenceError) else sums[i] + value
-        totals += sums
-    return _unwrap(totals[0]) if single else totals
+    forms = [forms] if single else list(forms)
+    for form in forms:
+        if form.bidegree.as_tuple() != (1, 1):
+            raise ValueError(f"tropical integration needs bidegree (1,1), got {form.bidegree.as_tuple()}")
+    sums = [[0.0] * form.rows for form in forms]
+    for e in curve.sorted_edges():
+        values = edge_integral(curve, [form.coefficients[e.id].node for form in forms], e.id)
+        for row_sums, value in zip(sums, values):
+            # a coefficient without columns is the same on every row of its form
+            for r, v in enumerate(value if isinstance(value, list) else [value] * len(row_sums)):
+                if not isinstance(row_sums[r], DivergenceError):
+                    row_sums[r] = v if isinstance(v, DivergenceError) else row_sums[r] + v
+    totals = [total for row_sums in sums for total in row_sums]
+    return (_unwrap(totals[0]) if len(totals) == 1 else totals) if single else totals
 
 
 def hodge_star(form: Superform, g: KahlerForm) -> Superform:

@@ -8,15 +8,19 @@ u = 0; the grading absorbs the logarithmic factors that second moments
 introduce, and deepening the grading is the refinement step.
 
 An integrand is an expression tree or a plain callable of an array, and
-the integrals take one integrand or a sequence of them on one chart.
-Levels 0 and 1 are read in one walk of all the integrands over both
-levels' nodes (``expressions._walk``), and each deeper level in one more
-walk, of the integrands still refining.  So a node that several trees
-share, such as a test form's window on a leg, is computed once per walk
-for all of them.  Each integrand keeps its own sums and its own
-refinement: every level is summed over its own panels, so its value has
-the bits of a level-by-level integral of it alone.  Panel meshes are
-cached read-only.
+the integrals take one integrand or a sequence of them on one chart.  A
+tree with (F, 1) column literals (see ``expressions``) holds F
+integrands, one per row.  Levels 0 and 1 are read in one walk of all the
+integrands over both levels' nodes (``expressions._walk``), and each
+deeper level in one more walk, of the integrands still refining.  So a
+node that several trees share, such as a test form's window on a leg,
+is computed once per walk for all of them, and a family's tree once for
+all its rows.  A walk holds at most WALK_CELLS rows times nodes, one row
+at least: past that a family's rows are walked in groups.  All rows of a
+walk are reduced in one contraction, and each row keeps its own sums and
+its own refinement: every level is summed over its own panels, so its
+value has the bits of a level-by-level integral of it alone.  Panel
+meshes are cached read-only.
 
 Divergence is declared when four successive refinements fail to
 contract by a factor of two; integrands like a constant weight on an
@@ -24,7 +28,7 @@ infinite edge then fail deterministically instead of stabilizing.  A
 finite-interval level of more than MAX_LEVEL_NODES nodes is declared
 divergent before it is allocated.  Among several integrands a divergent
 one gets its DivergenceError in place of its value, and the others are
-unaffected.
+unaffected; so does a divergent row among the rows of a family.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expressions import Expression, Opaque, _walk
+from .expressions import Expression, Opaque, _walk, rows
 
 __all__ = [
     "DivergenceError",
@@ -63,6 +67,9 @@ MAX_REFINEMENTS = 14
 # none past L = 16384.  A level over the cap is a DivergenceError
 # before any allocation.
 MAX_LEVEL_NODES = 2**20
+# Rows times nodes of the values one walk holds, 2 MiB of float64: the
+# rows of a family are walked in groups of at most WALK_CELLS // nodes.
+WALK_CELLS = 2**18
 
 
 class DivergenceError(ArithmeticError):
@@ -99,17 +106,46 @@ def _panel_grid(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, half
 
 
-def _levels_values(values: np.ndarray, grids) -> list[float]:
-    """Composite GL on each (nodes, half) grid of values sampled on all their nodes, concatenated."""
-    if not np.isfinite(values).all():
-        raise DivergenceError("integrand is not finite on the quadrature grid")
+def _level_sums(block: np.ndarray, grids) -> np.ndarray:
+    """Composite GL of each row of block, sampled on all the grids' nodes concatenated, on each (nodes, half) grid.
+
+    Each row's panels of a level are one matrix-vector product of that
+    level's (panels x 16) values, in a batch over the rows, so row r, level
+    k has the bits of that level integrated alone; one product over all
+    rows' panels rounds some panels differently."""
     _, wi = gauss_legendre(NODES_PER_PANEL)
-    sums, start = [], 0
-    for nodes, half in grids:
-        rows = values[start:start + nodes.size].reshape(half.size, NODES_PER_PANEL)
-        sums.append(float(((rows @ wi) * half).sum()))
+    sums = np.empty((len(block), len(grids)))
+    start = 0
+    for k, (nodes, half) in enumerate(grids):
+        panels = block[:, start:start + nodes.size].reshape(len(block), half.size, NODES_PER_PANEL)
+        sums[:, k] = ((panels @ wi) * half).sum(axis=1)
         start += nodes.size
     return sums
+
+
+def _walk_groups(wanted: dict, counts: list, n: int):
+    """The walks over n nodes that read the rows ``wanted`` of each root: (roots, the rows to select or None).
+
+    Roots of one row share walks of up to WALK_CELLS // n of them.  Roots
+    of F rows are walked with roots of the same F, on the union of their
+    wanted rows, in groups that keep the rows of a walk within the same
+    bound; a walk holds one row at least."""
+    budget = max(1, WALK_CELLS // n)
+    singles = [i for i in wanted if counts[i] == 1]
+    for start in range(0, len(singles), budget):
+        yield singles[start:start + budget], None
+    families = {}
+    for i in wanted:
+        if counts[i] > 1:
+            families.setdefault(counts[i], []).append(i)
+    for members in families.values():
+        bundle = min(len(members), budget)
+        step = max(1, budget // bundle)
+        for b in range(0, len(members), bundle):
+            roots = members[b:b + bundle]
+            selection = np.array(sorted(set().union(*(wanted[i] for i in roots))))
+            for s in range(0, len(selection), step):
+                yield roots, selection[s:s + step]
 
 
 def _refine(values, count: int, tol: float) -> list:
@@ -156,16 +192,21 @@ def _refine(values, count: int, tol: float) -> list:
 def _integrate(f, grid, tol: float, tail: float | None = None):
     """The refined integral of f over the panels grid(k) of each level k.
 
-    f is one integrand, whose value is returned and whose DivergenceError
-    is raised, or a sequence of them, whose values come back as a list in
-    order, with a DivergenceError in place of each divergent one.  An
-    integrand is an expression tree or a plain callable of an array.  All
-    integrands of a level are read in one walk over its nodes, sharing
-    the nodes that their trees share.  With ``tail`` the grid's nodes are
-    u in (0, 1] and each integrand is read at tail + log u and divided by u.
+    f is one integrand, or a sequence of them, whose results come back
+    as a list in order.  An integrand is an expression tree or a plain
+    callable of an array.  The result of one with a single row is its
+    value, or its DivergenceError: raised for a lone f, in place of the
+    value in a list.  The result of a tree with F rows is the list of its
+    rows' results, each a value or a DivergenceError.  All integrands of
+    a level are read in as few walks over its nodes as WALK_CELLS allows,
+    sharing the nodes that their trees share.  With ``tail`` the grid's
+    nodes are u in (0, 1] and each integrand is read at tail + log u and
+    divided by u.
     """
     single = callable(f)
     roots = [g if isinstance(g, Expression) else Opaque(g) for g in ([f] if single else f)]
+    counts = [rows(root) for root in roots]
+    owner = [(i, r) for i, count in enumerate(counts) for r in range(count)]  # integrand -> (root, row)
 
     def values(levels, live):
         try:
@@ -174,17 +215,37 @@ def _integrate(f, grid, tol: float, tail: float | None = None):
             return [exc] * len(live)
         nodes = np.concatenate([nodes for nodes, _ in grids])
         x = nodes if tail is None else tail + np.log(nodes)
-        out = []
-        for v in _walk([roots[i] for i in live], x):
-            v = np.asarray(v, dtype=float)
-            try:
-                out.append(_levels_values(v if tail is None else v / nodes, grids))
-            except DivergenceError as exc:
-                out.append(exc)
-        return out
+        wanted = {}  # root -> its rows in live
+        for j in live:
+            i, r = owner[j]
+            wanted.setdefault(i, []).append(r)
+        out = {}
+        for group, selection in _walk_groups(wanted, counts, nodes.size):
+            heights = [1 if counts[i] == 1 else len(selection) for i in group]
+            block, start = np.empty((sum(heights), nodes.size)), 0
+            for height, v in zip(heights, _walk([roots[i] for i in group], x, selection)):
+                block[start:start + height] = v
+                start += height
+            if tail is not None:
+                block /= nodes
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                block[~finite] = 0.0
+            sums, finite = _level_sums(block, grids).tolist(), finite.tolist()
+            start = 0
+            for i, height in zip(group, heights):
+                for r, row in zip([0] if counts[i] == 1 else selection.tolist(), range(start, start + height)):
+                    out[i, r] = tuple(sums[row]) if finite[row] else DivergenceError(
+                        "integrand is not finite on the quadrature grid")
+                start += height
+        return [out[owner[j]] for j in live]
 
-    results = _refine(values, len(roots), tol)
-    return _unwrap(results[0]) if single else results
+    results = _refine(values, len(owner), tol)
+    per_root, start = [], 0
+    for count in counts:
+        per_root.append(results[start] if count == 1 else results[start:start + count])
+        start += count
+    return _unwrap(per_root[0]) if single else per_root
 
 
 def _unwrap(result):

@@ -9,6 +9,11 @@ and an optional tail-support bound: a coordinate b such that the
 function is constant on (-inf, b].  The tail bound is what regularity at
 infinity is judged by.
 
+A superform may hold a family of F forms as rows: its coefficient
+trees then carry (F, 1) columns in place of numbers (see
+``expressions``), ``rows`` is F, and a coefficient's value at n points
+is an (F, n) array.  The operations below act on every row at once.
+
 Chart reversal y = -l - x transforms coefficients with the sign
 (-1)^(p+q): (1,0)- and (0,1)-forms flip sign, (0,0)- and (1,1)-forms do
 not.  All vertex conditions below are stated in vertex-local charts
@@ -26,7 +31,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .curve import TropicalCurve
-from .expressions import Expression, Num, Opaque, Sub, Var, _add, _div, _mul, _neg, _sub, parse_expression, polynomial
+from .expressions import (Expression, Num, Opaque, Sub, Var, _add, _div, _literal, _mul, _neg, _sub, parse_expression,
+                          polynomial, rows)
 
 __all__ = [
     "Bidegree",
@@ -101,7 +107,8 @@ class EdgeFunction:
 
     @classmethod
     def constant(cls, value, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
-        return cls(Num(float(value)), tail_bound=0.0, domain=domain)
+        """``value``, a number or an (F, 1) column, on the whole chart."""
+        return cls(_literal(value), tail_bound=0.0, domain=domain)
 
     @classmethod
     def zero(cls, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
@@ -117,7 +124,9 @@ class EdgeFunction:
 
     @classmethod
     def polynomial(cls, coeffs, domain=(NEG_INF, 0.0)) -> "EdgeFunction":
-        """Polynomial sum(coeffs[k] * x^k) with exact derivative chain; a constant one is ``constant``."""
+        """Polynomial sum(coeffs[k] * x^k) with exact derivative chain; a constant one is ``constant``.
+
+        A coefficient is a number or an (F, 1) column."""
         node = polynomial(coeffs)
         return cls(node, tail_bound=0.0 if isinstance(node, Num) else None, domain=domain)
 
@@ -155,8 +164,9 @@ class EdgeFunction:
     def __neg__(self) -> "EdgeFunction":
         return EdgeFunction(_neg(self.node), tail_bound=self.tail_bound, domain=self.domain)
 
-    def scale(self, c: float) -> "EdgeFunction":
-        return EdgeFunction(_mul(Num(float(c)), self.node), tail_bound=self.tail_bound, domain=self.domain)
+    def scale(self, c) -> "EdgeFunction":
+        """c times this function, for a number or an (F, 1) column c."""
+        return EdgeFunction(_mul(_literal(c), self.node), tail_bound=self.tail_bound, domain=self.domain)
 
     def _coerce(self, other) -> "EdgeFunction":
         if isinstance(other, EdgeFunction):
@@ -173,11 +183,16 @@ class EdgeFunction:
 
 @dataclass(frozen=True)
 class Superform:
-    """Bidegree plus one coefficient per edge, in canonical charts."""
+    """Bidegree plus one coefficient per edge, in canonical charts; a family of ``rows`` forms if they carry columns."""
 
     bidegree: Bidegree
     coefficients: Mapping[str, EdgeFunction]
     vanishes_dimensionally: bool = False
+
+    @property
+    def rows(self) -> int:
+        """The forms this one holds: the rows of its coefficients' columns, 1 without any."""
+        return max((rows(fn.node) for fn in self.coefficients.values()), default=1)
 
     @classmethod
     def on_curve(cls, curve: TropicalCurve, bidegree, coefficients: Mapping) -> "Superform":
@@ -297,13 +312,14 @@ class RegularityReport:
 
 
 def _tail_entry(fn: EdgeFunction, bidegree: Bidegree, tol: float) -> tuple[bool, str]:
+    """The condition at infinity on one leg, judged on the worst row."""
     b = fn.tail_bound
     if b is None:
         return False, "no tail-support bound declared"
     samples = np.array([b - off for off in _TAIL_OFFSETS])
     values = np.atleast_1d(np.asarray(fn(samples), dtype=float))
     if bidegree.as_tuple() == (0, 0):
-        spread = float(np.max(np.abs(values - values[0])))
+        spread = float(np.max(np.abs(values - values[..., :1])))
         if spread <= tol:
             return True, f"constant beyond {b} (spread {spread:.3e})"
         return False, f"not constant beyond {b} (spread {spread:.3e})"
@@ -321,7 +337,8 @@ def is_regular(form: Superform, curve: TropicalCurve, tol: float = 1e-10) -> Reg
     each infinite edge.  (1,0): the vertex-local end values sum to
     |residual| <= tol at every junction, and the coefficient vanishes
     beyond the tail bound.  (0,1) and (1,1): only the condition at
-    infinity applies.
+    infinity applies.  A family passes when every row does; each entry
+    reports its worst row.  Each edge's ends are read in one walk.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -330,19 +347,30 @@ def is_regular(form: Superform, curve: TropicalCurve, tol: float = 1e-10) -> Reg
     kirchhoff: dict = {}
     at_infinity: dict = {}
 
-    for v, ends in curve.junctions() if bd.q == 0 else ():  # no vertex condition binds q = 1
+    junctions = curve.junctions() if bd.q == 0 else ()  # no vertex condition binds q = 1
+    sides = {}  # edge id -> {side: its chart coordinate}, for the ends in a junction
+    for _, ends in junctions:
+        for e, side, _ in ends:
+            sides.setdefault(e.id, {})[side] = 0.0 if side == "head" else -e.length
+    at_end = {}  # (edge id, side) -> the coefficient there, one value per row
+    for eid, coords in sides.items():
+        values = np.asarray(form.coefficients[eid](np.array(list(coords.values()))), dtype=float)
+        values = np.broadcast_to(values, (form.rows, len(coords)))
+        at_end.update(((eid, side), values[:, k]) for k, side in enumerate(coords))
+
+    for v, ends in junctions:
         # vertex-local value: the chart's value at the end; at a tail the
         # chart reversal contributes (-1)^(p+q), the Kirchhoff sign to the p
-        values = [sign**bd.p * float(form.coefficients[e.id](0.0 if side == "head" else -e.length))
-                  for e, side, sign in ends]
+        values = [sign**bd.p * at_end[e.id, side] for e, side, sign in ends]
         if bd.p == 0:
-            spread = max(values) - min(values)
+            spread = float(np.max(np.max(values, axis=0) - np.min(values, axis=0)))
             continuity[v] = (spread <= tol, f"end values spread {spread:.3e}")
-        else:  # vertex-local values carry the Kirchhoff signs; summed in order, as floats
+        else:  # vertex-local values carry the Kirchhoff signs; summed in order
             total = 0.0
             for value in values:
-                total += value
-            kirchhoff[v] = (abs(total) <= tol, total)
+                total = total + value
+            worst = float(total[np.argmax(np.abs(total))])
+            kirchhoff[v] = (abs(worst) <= tol, worst)
 
     for e in curve.infinite_edges():
         at_infinity[e.id] = _tail_entry(form.coefficients[e.id], bd, tol)

@@ -59,11 +59,12 @@ def test_regular_test_forms_pass_regularity():
     for factory in factories:
         curve = factory()
         for bidegree in ((0, 0), (1, 0)):
-            for form in regular_test_forms(curve, bidegree, 4, seed=2):
-                report = is_regular(form, curve, tol=1e-12)
-                assert report.passed
-                vertex_entries = report.continuity if bidegree == (0, 0) else report.kirchhoff
-                assert len(vertex_entries) == len(curve.junctions())
+            family = regular_test_forms(curve, bidegree, 4, seed=2)
+            assert family.rows == 4
+            report = is_regular(family, curve, tol=1e-12)
+            assert report.passed
+            vertex_entries = report.continuity if bidegree == (0, 0) else report.kirchhoff
+            assert len(vertex_entries) == len(curve.junctions())
 
 
 def test_test_forms_need_no_linear_solve(monkeypatch):
@@ -74,7 +75,7 @@ def test_test_forms_need_no_linear_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for curve in (_grid(6, 2), _looped()):
         for bidegree in ((0, 0), (1, 0)):
-            assert len(regular_test_forms(curve, bidegree, 2, seed=4)) == 2
+            assert regular_test_forms(curve, bidegree, 2, seed=4).rows == 2
         psi, phi = energy_test_pair(curve, 4)
         assert set(psi.coefficients) == set(phi.coefficients) == {e.id for e in curve.edges}
 
@@ -84,9 +85,9 @@ def test_regular_test_forms_are_seeded():
     a = regular_test_forms(tri, (1, 0), 3, seed=9)
     b = regular_test_forms(tri, (1, 0), 3, seed=9)
     xs = np.linspace(-1, 0, 7)
-    for fa, fb in zip(a, b):
-        for e in ("ab", "bc", "ca"):
-            assert np.all(np.asarray(fa.coefficients[e](xs)) == np.asarray(fb.coefficients[e](xs)))
+    for e in ("ab", "bc", "ca"):
+        values = np.asarray(a.coefficients[e](xs))
+        assert values.shape == (3, 7) and np.all(values == np.asarray(b.coefficients[e](xs)))
 
 
 def test_band_window_support():
@@ -106,7 +107,7 @@ def test_check_stokes_passes_and_rejects_non_regular():
     assert report.passed
     bad = Superform.on_curve(tri, (1, 0), {"ab": 1})  # unbalanced constant flow
     with pytest.raises(ValueError, match="non-regular"):
-        check_stokes(tri, [bad])
+        check_stokes(tri, bad)
 
 
 def test_check_stokes_residual_is_quadrature_level_on_tails():
@@ -475,3 +476,136 @@ def test_nan_laplacian_turns_star_commutation_red(monkeypatch):
     monkeypatch.setattr(checks, "laplacian", nan_scaled)
     residual = {c.check_id: c for c in check_star_identities(tri, g).checks}["star-laplacian-commutation"]
     assert residual.status == "fail" and math.isnan(residual.residual)
+
+
+# -- families of test forms against a per-form reference ---------------------
+
+def _reference_regular_forms(curve, bidegree, count, seed):
+    """One form at a time, each with its own float literals: the construction the families stack."""
+    from trophodge.checks import _TAIL_WINDOW_BOUND, _smoothstep_window
+    from trophodge.superform import Bidegree, EdgeFunction
+
+    bd = Bidegree.of(bidegree)
+    scalar = bd.p == 0
+    rng = np.random.default_rng(seed)
+    junctions = [ends for _, ends in curve.junctions()]
+    forms = []
+    for _ in range(count):
+        end = {}
+        for ends in junctions:
+            if scalar:
+                values = [rng.uniform(-1.0, 1.0)] * len(ends)
+            else:
+                w = rng.uniform(-1.0, 1.0, size=len(ends))
+                values = [sign * v for (_, _, sign), v in zip(ends, w - w.mean())]
+            end.update(((e.id, side), value) for (e, side, _), value in zip(ends, values))
+
+        def end_value(e, side):
+            return end[e.id, side] if (e.id, side) in end else rng.uniform(-1.0, 1.0)
+
+        coeffs = {}
+        for e in curve.sorted_edges():
+            head = end_value(e, "head")
+            if not e.infinite:
+                r0, r1 = rng.uniform(-1.0, 1.0, size=2)
+                coeffs[e.id] = checks._cubic(head, end_value(e, "tail"), e, r0, r1)
+                continue
+            a0 = rng.uniform(-1.0, 1.0) if scalar else head
+            linear = EdgeFunction.polynomial([a0, rng.uniform(-1.0, 1.0)], domain=e.chart)
+            fn = linear * _smoothstep_window(_TAIL_WINDOW_BOUND, e.chart)
+            if scalar:
+                fn = fn + EdgeFunction.constant(head - a0, e.chart)
+            coeffs[e.id] = fn
+        forms.append(Superform(bd, coeffs))
+    return forms
+
+
+def _reference_energy_pair(curve, seed):
+    from trophodge.superform import Bidegree, EdgeFunction
+
+    rng = np.random.default_rng(seed)
+    vertex_value = {v: rng.uniform(-1.0, 1.0) for v in curve.sorted_vertices()}
+    psi_coeffs = {}
+    for e in curve.sorted_edges():
+        if e.infinite:
+            amp = rng.uniform(-1.0, 1.0)
+            shift = vertex_value[e.head] - amp * 0.5
+            fn = EdgeFunction.from_expression(checks.DECAY, domain=e.chart).scale(amp)
+            psi_coeffs[e.id] = fn + EdgeFunction.constant(shift, e.chart)
+        else:
+            r0, r1 = rng.uniform(-1.0, 1.0, size=2)
+            psi_coeffs[e.id] = checks._cubic(vertex_value[e.head], vertex_value[e.tail], e, r0, r1)
+    phi = _reference_regular_forms(curve, (1, 0), 1, seed + 31)[0]
+    coeffs = dict(phi.coefficients)
+    for e in curve.infinite_edges():
+        end = float(coeffs[e.id](0.0))
+        coeffs[e.id] = EdgeFunction.from_expression(checks.DECAY, domain=e.chart).scale(2.0 * end)
+    return Superform(Bidegree(0, 0), psi_coeffs), Superform(Bidegree(1, 0), coeffs)
+
+
+def _level0_nodes(e):
+    """The chart coordinates of the edge's level-0 quadrature nodes."""
+    from trophodge import quadrature
+
+    if e.infinite:
+        return np.log(quadrature._tail_grid(quadrature.TAIL_LEVELS, 1)[0])
+    base = max(quadrature.MIN_PANELS, math.ceil(e.length * quadrature.PANELS_PER_UNIT))
+    return quadrature._finite_grid(-e.length, 0.0, base)[0]
+
+
+def _assert_rows_equal_bitwise(curve, family, forms):
+    assert family.rows == len(forms)
+    for e in curve.sorted_edges():
+        xs = _level0_nodes(e)
+        rows = np.broadcast_to(family.coefficients[e.id](xs), (len(forms), xs.size))
+        for r, form in enumerate(forms):
+            assert rows[r].tobytes() == np.broadcast_to(form.coefficients[e.id](xs), xs.shape).tobytes(), (e.id, r)
+
+
+_FAMILY_CURVES = [curves.triangle_with_legs, curves.projective_line, _looped, lambda: _grid(3, 2), curves.triangle]
+
+
+@pytest.mark.parametrize("factory", _FAMILY_CURVES, ids=["legs", "tp1", "looped", "grid3+2", "triangle"])
+@pytest.mark.parametrize("bidegree", [(0, 0), (1, 0)])
+def test_regular_test_form_rows_equal_the_per_form_reference_bitwise(factory, bidegree):
+    curve = factory()
+    family = regular_test_forms(curve, bidegree, 5, seed=11)
+    _assert_rows_equal_bitwise(curve, family, _reference_regular_forms(curve, bidegree, 5, 11))
+    _assert_rows_equal_bitwise(curve, d_second(family),
+                               [d_second(f) for f in _reference_regular_forms(curve, bidegree, 5, 11)])
+
+
+@pytest.mark.parametrize("factory", _FAMILY_CURVES, ids=["legs", "tp1", "looped", "grid3+2", "triangle"])
+def test_energy_pair_rows_equal_the_per_pair_reference_bitwise(factory):
+    curve = factory()
+    psi, phi = energy_test_pair(curve, 1000, count=4)
+    pairs = [_reference_energy_pair(curve, 1000 + k) for k in range(4)]
+    _assert_rows_equal_bitwise(curve, psi, [p for p, _ in pairs])
+    _assert_rows_equal_bitwise(curve, phi, [f for _, f in pairs])
+
+
+def test_family_suites_equal_the_per_form_integrals_bitwise():
+    curve = curves.triangle_with_legs()
+    family = regular_test_forms(curve, (1, 0), 6, seed=3)
+    forms = _reference_regular_forms(curve, (1, 0), 6, 3)
+    assert integrate(curve, d_second(family)) == [integrate(curve, d_second(f)) for f in forms]
+    psi, phi = energy_test_pair(curve, 40, count=3)
+    pairs = [_reference_energy_pair(curve, 40 + k) for k in range(3)]
+    assert integrate(curve, [wedge(d_second(psi), phi), wedge(psi, d_second(phi))]) == \
+        [integrate(curve, wedge(d_second(p), f)) for p, f in pairs] + [integrate(curve, wedge(p, d_second(f))) for p, f in pairs]
+
+
+def test_one_row_breaking_kirchhoff_makes_check_stokes_raise():
+    from trophodge.superform import EdgeFunction
+
+    tri = curves.triangle()
+    family = regular_test_forms(tri, (1, 0), 4, seed=6)
+    assert check_stokes(tri, family, seed=6).passed
+    edge = tri.edges[0]
+    kick = EdgeFunction.constant(np.array([[0.0], [0.0], [0.25], [0.0]]), edge.chart)  # row 2 only
+    broken = Superform(family.bidegree, {**family.coefficients, edge.id: family.coefficients[edge.id] + kick})
+    report = is_regular(broken, tri)
+    assert not report.passed
+    assert max(abs(total) for _, total in report.kirchhoff.values()) == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="non-regular"):
+        check_stokes(tri, broken)

@@ -507,10 +507,10 @@ class _RecordingFactor:
         return self.lu.solve(X)
 
 
-@pytest.mark.parametrize("n,widths", [(1024, [8, 8, 4]), (1023, [20])])
+@pytest.mark.parametrize("n,widths", [(1024, [12, 8]), (1023, [20])])
 def test_block_solve_groups_columns_that_share_cache_sets(n, widths):
     # at n = 1024 the columns of a block lie 8 KiB apart, on the same sets of a
-    # 4 KiB-periodic cache; at n = 1023 they spread over the sets
+    # 4 KiB-periodic 12-way cache; at n = 1023 they spread over the sets
     A = scipy.sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
     B = scipy.sparse.identity(n, format="csr")
     lu = discrete._factor(A, B, -1.0)[0]

@@ -328,3 +328,21 @@ def test_parse_and_diff_are_built_once():
     fn = EdgeFunction.from_expression("2*exp(2*x)/(1+exp(2*x))^2")
     assert fn.node is tree
     assert fn.derivative().node is fn.derivative().node is tree.diff()
+
+
+def test_column_literals_are_rows_and_a_walk_selects_among_them():
+    from trophodge.expressions import polynomial, rows
+
+    a, b = np.array([[0.5], [-2.0], [3.0]]), np.array([[1.0], [0.0], [-0.25]])
+    tree = Mul(polynomial([a, b, 1.0]), parse_expression(DECAY))  # (a + b x + x^2) * DECAY
+    singles = [Mul(polynomial([a[r, 0], b[r, 0], 1.0]), parse_expression(DECAY)) for r in range(3)]
+    x = np.linspace(-3.0, 0.0, 11)
+    assert rows(tree) == 3 and rows(singles[0]) == 1 and rows(tree.diff()) == 3
+    values = _walk(tree, x)
+    assert values.shape == (3, 11)
+    for r, single in enumerate(singles):
+        assert values[r].tobytes() == _walk(single, x).tobytes()
+        assert _walk(tree.diff(), x)[r].tobytes() == _walk(single.diff(), x).tobytes()
+    selected = _walk(tree, x, np.array([2, 0]))
+    assert selected.tobytes() == values[[2, 0]].tobytes()
+    assert np.asarray(tree(0.0)).shape == (3, 1)

@@ -92,12 +92,13 @@ def test_integrate_zero_form():
     assert integrate(TRI, form) == 0.0
 
 
-@pytest.mark.parametrize("batch_forms", [512, 2])
-def test_integrate_many_forms_equals_one_at_a_time_bitwise(monkeypatch, batch_forms):
-    from trophodge import metric
+@pytest.mark.parametrize("walk_cells", [512, 2])
+def test_integrate_many_forms_equals_one_at_a_time_bitwise(monkeypatch, walk_cells):
+    from trophodge import quadrature
     from trophodge.quadrature import DivergenceError
 
-    monkeypatch.setattr(metric, "BATCH_FORMS", batch_forms)  # 2: the iterable is read in three batches
+    # 512: a walk reads a few of the forms' coefficients, 2: one at a time
+    monkeypatch.setattr(quadrature, "WALK_CELLS", walk_cells)
     curve = curves.triangle_with_legs()
     forms = [Superform.on_curve(curve, (1, 1), coeffs) for coeffs in (
         {"ab": "x^2", "legA": "exp(x)"},
@@ -111,6 +112,34 @@ def test_integrate_many_forms_equals_one_at_a_time_bitwise(monkeypatch, batch_fo
     with pytest.raises(DivergenceError) as alone:
         integrate(curve, forms[1])
     assert isinstance(values[1], DivergenceError) and str(values[1]) == str(alone.value)
+
+
+def test_integrate_family_is_its_rows_with_a_divergent_row_apart():
+    # rows 0 and 2 are forms of the test above; row 1 is constant on legB, which diverges
+    from trophodge.quadrature import DivergenceError
+    from trophodge.superform import EdgeFunction
+
+    curve = curves.triangle_with_legs()
+    column = lambda *v: np.array(v, dtype=float)[:, None]
+    fs = EdgeFunction.from_expression(FUBINI_STUDY_SOURCE)
+    family = Superform.on_curve(curve, (1, 1), {
+        "ab": EdgeFunction.polynomial([0.0, 0.0, column(1.0, 1.0, 0.0)]),  # x^2, x^2, 0
+        "legA": fs.scale(column(0.0, 0.0, 1.0)),
+        "legB": EdgeFunction.constant(column(0.0, 1.0, 0.0)),
+        "ca": fs.scale(column(0.0, 0.0, 1.0)),
+    })
+    assert family.rows == 3
+    values = integrate(curve, family)
+    rows = [{"ab": "x^2", "legB": "0"}, {"ab": "x^2", "legB": "1"},
+            {"ca": FUBINI_STUDY_SOURCE, "legA": FUBINI_STUDY_SOURCE}]
+    singles = [Superform.on_curve(curve, (1, 1), coeffs) for coeffs in rows]
+    assert [values[0], values[2]] == [integrate(curve, singles[0]), integrate(curve, singles[2])]
+    with pytest.raises(DivergenceError) as alone:
+        integrate(curve, singles[1])
+    assert isinstance(values[1], DivergenceError) and str(values[1]) == str(alone.value)
+    # among other forms: the rows of each form in turn
+    assert [str(v) if isinstance(v, DivergenceError) else v for v in integrate(curve, [singles[2], family])] \
+        == [values[2]] + [str(v) if isinstance(v, DivergenceError) else v for v in values]
 
 
 def test_integrate_rejects_wrong_bidegree():

@@ -172,7 +172,8 @@ def test_constant_on_tail_divergence_message():
 
 def test_level_cap_leaves_a_length_2_chart_every_refinement(monkeypatch):
     # each level's value halves the last change, so only the depth or the cap stops it
-    monkeypatch.setattr(quadrature, "_levels_values", lambda f, grids: [1.0 / nodes.size for nodes, _ in grids])
+    monkeypatch.setattr(quadrature, "_level_sums",
+                        lambda block, grids: np.array([[1.0 / nodes.size for nodes, _ in grids]] * len(block)))
     try:
         with pytest.raises(DivergenceError, match=f"within {quadrature.MAX_REFINEMENTS} refinements"):
             integrate_finite(np.sin, -2.0, 0.0)
@@ -222,3 +223,67 @@ def test_cached_grids_are_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+# -- families: a tree with (F, 1) column literals is F integrands --------------
+
+def _column(*values):
+    return np.array(values, dtype=float)[:, None]
+
+
+def _family_and_rows(c0, c1, source):
+    """c0 + c1 * tree(source) with column literals, and the same tree for each row with float literals."""
+    from trophodge.expressions import Add, Mul, Num
+
+    tree = parse_expression(source)
+    family = Add(Num(_column(*c0)), Mul(Num(_column(*c1)), tree))
+    return family, [Add(Num(a), Mul(Num(b), tree)) for a, b in zip(c0, c1)]
+
+
+def test_a_divergent_row_gets_its_own_error_and_the_others_keep_their_values():
+    # on a leg: row 1 is eventually the constant 1, row 3 is infinite everywhere
+    family, rows = _family_and_rows([0.0, 1.0, 0.0, math.inf], [1.0, 1.0, -3.0, 1.0], "2*exp(2*x)/(1+exp(2*x))^2")
+    values = integrate_lower_tail(family, 0.0)
+    assert len(values) == 4
+    assert [values[0], values[2]] == [integrate_lower_tail(rows[0], 0.0), integrate_lower_tail(rows[2], 0.0)]
+    with pytest.raises(DivergenceError) as alone:
+        integrate_lower_tail(rows[1], 0.0)
+    assert isinstance(values[1], DivergenceError) and str(values[1]) == str(alone.value)
+    assert isinstance(values[3], DivergenceError) and str(values[3]) == "integrand is not finite on the quadrature grid"
+    # among other integrands, in one call
+    batch = integrate_lower_tail([rows[0], family, FS], 0.0)
+    assert batch[0] == values[0] and batch[2] == integrate_lower_tail(FS, 0.0)
+    assert _outcomes(batch[1]) == _outcomes(values)
+
+
+def test_rows_refine_each_on_their_own():
+    # row 0 settles at level 1, row 1 (|x|^1.5 scaled by 0) too, row 2 needs level 5
+    from trophodge.expressions import Add, Mul, Num, Opaque
+
+    power = Opaque(lambda x: np.abs(x) ** 1.5)
+    cube = parse_expression("x^3-x")
+    family = Add(Mul(Num(_column(1.0, 2.0, 0.0)), cube), Mul(Num(_column(0.0, 0.0, 1.0)), power))
+    single = [Add(Mul(Num(a), cube), Mul(Num(b), power)) for a, b in ((1.0, 0.0), (2.0, 0.0), (0.0, 1.0))]
+    assert integrate_finite(family, -1.0, 0.0) == [integrate_finite(f, -1.0, 0.0) for f in single]
+
+
+@pytest.mark.parametrize("cells", [1, 96, 200])
+def test_rows_walked_in_groups_give_the_same_bits(monkeypatch, cells):
+    # the first walk reads levels 0 and 1 on [-1, 0], 96 nodes: 1 and 96 cells allow one row per walk, 200 two
+    family, rows = _family_and_rows([0.5, -1.0, 2.0, 0.25, 3.0], [1.0, 2.0, -1.0, 0.5, 0.0], "exp(x)*x^2")
+    other, _ = _family_and_rows([1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0], "x")
+    together = integrate_finite([family, other, FS], -1.0, 0.0)
+    walks = []
+    real_walk = quadrature._walk
+
+    def counting(roots, x, select=None):
+        roots = list(roots)
+        walks.append((len(roots) * (1 if select is None else len(select)), x.size))
+        return real_walk(roots, x, select)
+
+    monkeypatch.setattr(quadrature, "WALK_CELLS", cells)
+    monkeypatch.setattr(quadrature, "_walk", counting)
+    assert integrate_finite([family, other, FS], -1.0, 0.0) == together
+    assert together[0] == [integrate_finite(f, -1.0, 0.0) for f in rows]
+    assert all(height == 1 or height * nodes <= cells for height, nodes in walks)
+    assert max(height for height, _ in walks) == max(1, cells // 96)
